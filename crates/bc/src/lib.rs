@@ -16,6 +16,14 @@
 //! `tests/bytecode_determinism.rs` diffs the two engines over synthesized
 //! programs × adversary trees and the committed corpus.
 //!
+//! Local operations (private RNG draws, clock arithmetic, instruction
+//! computes, ω-padding, the final drain) are never polled: the VM parks
+//! their credits through
+//! [`GateSession::park`](apex_sim::GateSession::park) and the machine
+//! settles them without calling into the VM, so under one-credit
+//! (interleaving) adversaries only shared-memory operations cost a poll.
+//! Each processor's VM is boxed once, by the machine.
+//!
 //! Entry point: [`factory`], which plugs into
 //! [`SchemeRun::new_with_factory`](apex_scheme::SchemeRun::new_with_factory).
 
@@ -27,26 +35,20 @@ mod compile;
 mod tests;
 mod vm;
 
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use apex_scheme::SchemeParts;
 use apex_sim::{Ctx, EngineGate};
 
 pub use compile::{compile, CompileStats, CompiledScheme};
-
-use vm::Vm;
-
-/// Per-processor future type produced by the [`factory`] closure.
-pub type VmFuture = Pin<Box<dyn Future<Output = ()>>>;
+pub use vm::Vm;
 
 /// Compile `parts` and return the per-processor builder for
 /// [`SchemeRun::new_with_factory`](apex_scheme::SchemeRun::new_with_factory):
 /// each processor gets a VM over the shared compiled table, driven by the
 /// machine through the same credit protocol as the tree-walking
 /// processors.
-pub fn factory(parts: &SchemeParts) -> impl FnMut(Ctx) -> VmFuture {
+pub fn factory(parts: &SchemeParts) -> impl FnMut(Ctx) -> Vm {
     factory_of(Rc::new(compile(parts)), parts)
 }
 
@@ -54,7 +56,7 @@ pub fn factory(parts: &SchemeParts) -> impl FnMut(Ctx) -> VmFuture {
 /// [`CompileStats`] before the run starts (the scenario layer's `compile.*`
 /// trace instrument) call [`compile`] themselves and hand the result in,
 /// so lowering still happens exactly once.
-pub fn factory_of(prog: Rc<CompiledScheme>, parts: &SchemeParts) -> impl FnMut(Ctx) -> VmFuture {
+pub fn factory_of(prog: Rc<CompiledScheme>, parts: &SchemeParts) -> impl FnMut(Ctx) -> Vm {
     let events = parts.events.clone();
-    move |ctx| Box::pin(Vm::new(prog.clone(), EngineGate::new(&ctx), events.clone())) as VmFuture
+    move |ctx| Vm::new(prog.clone(), EngineGate::new(&ctx), events.clone())
 }

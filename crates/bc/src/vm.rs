@@ -13,17 +13,24 @@
 //! [`Future`] directly: one micro-state ([`St`]) per atomic operation, a
 //! dense `match` dispatch, and all protocol registers held as plain
 //! integers on the [`Vm`] struct. Each poll acquires one [`GateSession`]
-//! (a single `RefCell` borrow of memory and RNG for the whole granted run)
+//! (a single `RefCell` borrow of shared memory for the whole granted run)
 //! and executes ops in a tight credit loop. Control flow between atomic
 //! operations is free, exactly as in the model.
 //!
 //! What this removes from the hot loop compared to the tree walker: nested
 //! `async` poll chains, per-evaluation boxed `dyn` futures, last-write
 //! binary searches, asserted address recomputation, cycle-log pushes, and
-//! two `RefCell` borrows per operation. Runs of *effect-free* ops
-//! (ω-padding, post-completion busy-waiting) are consumed in O(1) per poll
-//! via [`GateSession::take_credits`] — identical counter outcomes, none of
-//! the per-op dispatch.
+//! two `RefCell` borrows per operation.
+//!
+//! *Local* ops — private RNG draws, the Read-Clock incorporate and divide
+//! computations, instruction computes and idle charges, ω-padding, and
+//! post-completion busy-waiting — are never polled: the VM applies their
+//! effects eagerly and parks their credits ([`GateSession::park`]), which
+//! the machine settles without a poll. Only shared-memory operations wait
+//! for a credit inside a poll. Local ops touch no shared memory and no
+//! event counter, and the VM never completes (it drains forever), so the
+//! gate's parking contract holds and every memory op still runs at the
+//! same work instant with the same register and RNG state.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -36,9 +43,10 @@ use apex_sim::{EngineGate, GateSession, Stamped};
 
 use crate::compile::{COperand, CompiledScheme, Slot};
 
-/// One micro-state of the dispatch loop. Every variant except [`St::Pad`]
-/// and [`St::Drain`] executes exactly one atomic operation (one op credit)
-/// when dispatched; `Pad`/`Drain` consume whole credit runs in O(1).
+/// One micro-state of the dispatch loop. Every variant except [`St::Drain`]
+/// executes exactly one atomic operation (one op credit, parked for
+/// [local](St::local) ops) when dispatched; `Drain` parks every future
+/// credit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum St {
     // Read-Clock: 3 ops per sample (draw, load, incorporate) + 1 (divide).
@@ -85,9 +93,35 @@ enum St {
     CasRandI,
     CasLoadCur,
     CasOp,
-    // Bulk states.
-    Pad,
+    // Program complete: busy-wait forever.
     Drain,
+}
+
+impl St {
+    /// Whether the op is *local*: it touches only this processor's
+    /// registers and private random source — no shared memory and no
+    /// event counter — so nothing outside the VM can observe when it runs.
+    /// Local ops are parked instead of polled.
+    #[inline(always)]
+    fn local(self) -> bool {
+        matches!(
+            self,
+            St::ClockRand
+                | St::ClockIncorp
+                | St::ClockDivide
+                | St::UpdRandJ
+                | St::UpdRandK
+                | St::CycRandBin
+                | St::EvIdle
+                | St::EvOp
+                | St::CopyRandI
+                | St::CopyRandR
+                | St::CopyRandStart
+                | St::DetRandI
+                | St::ScanRandI
+                | St::CasRandI
+        )
+    }
 }
 
 /// Where a Read-Clock returns to.
@@ -158,14 +192,12 @@ struct Regs {
     sc_d0: (u64, usize, u64),
     // CAS.
     cas_cur: Stamped,
-    // Pad.
-    pad_left: u64,
 }
 
 /// One processor's bytecode execution over a compiled scheme. Implements
 /// [`Future`] directly — the machine drives it exactly like any protocol
-/// future, granting credit runs and polling.
-pub(crate) struct Vm {
+/// future, granting credit runs and polling — and never completes.
+pub struct Vm {
     prog: std::rc::Rc<CompiledScheme>,
     gate: EngineGate,
     events: EventsHandle,
@@ -233,7 +265,6 @@ impl Vm {
                 sc_minv: 0,
                 sc_d0: (0, usize::MAX, 0),
                 cas_cur: Stamped::ZERO,
-                pad_left: 0,
             },
         }
     }
@@ -250,27 +281,23 @@ impl Future for Vm {
         let mut sess = this.gate.session();
         let r = &mut this.regs;
         loop {
-            match r.st {
-                St::Pad => {
-                    r.pad_left -= sess.take_credits(r.pad_left);
-                    if r.pad_left > 0 {
-                        return Poll::Pending;
-                    }
-                    r.post_task(p);
-                }
-                St::Drain => {
-                    // Program complete: busy-wait forever (still counted
-                    // as work), draining each granted run in one call.
-                    sess.take_credits(u64::MAX);
+            let st = r.st;
+            if st == St::Drain {
+                // Program complete: busy-wait forever (still counted as
+                // work) without ever being polled again.
+                sess.park(u64::MAX);
+                return Poll::Pending;
+            }
+            // A credit in hand pays for any op. Without one, a local op
+            // runs anyway on a parked credit; a memory op waits for the
+            // next poll.
+            if !sess.take_credit() {
+                if !st.local() {
                     return Poll::Pending;
                 }
-                st => {
-                    if !sess.take_credit() {
-                        return Poll::Pending;
-                    }
-                    r.exec(st, p, &mut sess, events);
-                }
+                sess.park(1);
             }
+            r.exec(st, p, &mut sess, events);
         }
     }
 }
@@ -346,18 +373,16 @@ impl Regs {
 
             // ---- Nondet agreement cycle -------------------------------
             St::CycRandBin => {
-                // The cycle's op budget starts at this op (already taken).
+                // The cycle's op budget starts at this op (already parked).
                 self.cyc_start_ops = sess.ops() - 1;
                 self.ti = sess.rand_below(p.n as u64) as usize;
                 self.bin_base = p.bins_base + self.ti * p.cells_per_bin;
                 self.stamp = self.clockv + 1;
+                // Bins are never empty (`BinLayout` asserts it), so the
+                // bisection always probes at least once.
                 self.lo = 0;
                 self.hi = p.cells_per_bin;
-                if self.lo < self.hi {
-                    self.st = St::CycSearch;
-                } else {
-                    self.search_done(p, sess, ev);
-                }
+                self.st = St::CycSearch;
             }
             St::CycSearch => {
                 let mid = self.lo + (self.hi - self.lo) / 2;
@@ -617,7 +642,7 @@ impl Regs {
                 self.post_task(p);
             }
 
-            St::Pad | St::Drain => unreachable!("bulk states are dispatched before exec"),
+            St::Drain => unreachable!("the drain is dispatched before exec"),
         }
     }
 
@@ -672,7 +697,7 @@ impl Regs {
     }
 
     /// Bisection finished: evaluate into an empty bin, help-copy, or pad.
-    fn search_done(&mut self, p: &CompiledScheme, sess: &GateSession<'_>, ev: &EventsHandle) {
+    fn search_done(&mut self, p: &CompiledScheme, sess: &mut GateSession<'_>, ev: &EventsHandle) {
         if self.lo == 0 {
             self.slot = p.slot(self.step, self.ti);
             self.ev_cont = EvCont::Cycle;
@@ -730,15 +755,12 @@ impl Regs {
         };
     }
 
-    /// Pad the cycle to exactly ω ops (consumed in bulk by [`St::Pad`]).
-    fn enter_pad(&mut self, p: &CompiledScheme, sess: &GateSession<'_>) {
+    /// Pad the cycle to exactly ω ops: the padding nops are parked, so
+    /// the next task starts at once and runs after them.
+    fn enter_pad(&mut self, p: &CompiledScheme, sess: &mut GateSession<'_>) {
         let used = sess.ops() - self.cyc_start_ops;
         debug_assert!(used <= p.omega, "cycle used {used} ops > ω = {}", p.omega);
-        self.pad_left = p.omega - used;
-        if self.pad_left > 0 {
-            self.st = St::Pad;
-        } else {
-            self.post_task(p);
-        }
+        sess.park(p.omega - used);
+        self.post_task(p);
     }
 }

@@ -14,6 +14,30 @@
 //! Local control flow between `await`s (register moves, branches) is free, as
 //! in the model, where a step is one atomic operation and processors have a
 //! small set of internal registers.
+//!
+//! # Parked credits
+//!
+//! Synchronous engines (the bytecode VM) talk to the machine through an
+//! [`EngineGate`] instead of awaiting `Ctx` operations. Such an engine may
+//! *park* the credits of **local** operations ([`GateSession::park`]):
+//! operations whose effects stay inside the processor — register
+//! computation, ω-padding nops, draws from the private random source. It
+//! applies their effects at once and pays for them from the credits in
+//! hand; whatever is left is owed, and the machine settles owed credits
+//! — without polling the future — before it grants the processor new
+//! ones. Either way the op, work, tick and per-processor counters advance
+//! exactly as if each parked operation had taken its own credit, and every
+//! shared-memory operation still happens at the same work instant. Since
+//! nothing outside the processor can see a local effect, applying it early
+//! is unobservable: the private random stream is drawn in the same order,
+//! only sooner.
+//!
+//! *Contract:* park only operations that touch no shared memory and
+//! nothing else another processor or an observer can read (event
+//! counters included), and only while the future will take at least one
+//! more credit before it completes — the machine accounts a completing
+//! poll's ticks assuming nothing is owed. The `async` [`Ctx`] protocols
+//! never park.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -45,6 +69,12 @@ pub(crate) struct ProcState {
     pub(crate) credit: Cell<u64>,
     /// Total atomic operations executed by this processor.
     pub(crate) ops: Cell<u64>,
+    /// Credits owed for local operations an engine has already applied
+    /// (see the module docs on parking). The machine settles them before
+    /// it polls the future again. Invariant: nonzero only while `credit`
+    /// is zero — parking pays from the credits in hand first, and the
+    /// machine grants new credits only once nothing is owed.
+    pub(crate) parked: Cell<u64>,
 }
 
 /// Handle through which a protocol performs its atomic operations.
@@ -186,16 +216,18 @@ impl std::fmt::Debug for Ctx {
 ///
 /// An `EngineGate` shares the processor's credit cell, op counter, shared
 /// memory, private random source, and the global work counter with the `Ctx`
-/// it was derived from, so an engine that calls [`EngineGate::take_credit`]
-/// before each effect performs the *identical* sequence of
-/// (credit, op-count, work, memory, RNG) transitions as `async` protocol
-/// code awaiting `Ctx` operations — read/write counters, write-event
-/// stamps, and the random stream all match op for op.
+/// it was derived from, so an engine that takes one credit before each
+/// effect performs the *identical* sequence of (credit, op-count, work,
+/// memory, RNG) transitions as `async` protocol code awaiting `Ctx`
+/// operations — read/write counters, write-event stamps, and the random
+/// stream all match op for op. The effects themselves go through a
+/// [`GateSession`], acquired once per poll.
 ///
-/// The contract is the machine's credit protocol: call `take_credit` once
-/// per atomic operation; when it returns `false`, return `Poll::Pending`
-/// from the driving future *without* performing further effects, and resume
-/// at the same operation on the next poll.
+/// The contract is the machine's credit protocol: take one credit per
+/// effectful atomic operation; when none is left, return `Poll::Pending`
+/// from the driving future *without* performing further effects, and
+/// resume at the same operation on the next poll. Local operations may
+/// instead be parked (see the module docs).
 #[derive(Clone)]
 pub struct EngineGate {
     id: ProcId,
@@ -237,66 +269,25 @@ impl EngineGate {
     /// current run of credits is exhausted.
     #[inline]
     pub fn take_credit(&self) -> bool {
-        let credit = self.state.credit.get();
-        if credit > 0 {
-            self.state.credit.set(credit - 1);
-            self.state.ops.set(self.state.ops.get() + 1);
-            self.work.set(self.work.get() + 1);
-            true
-        } else {
-            false
-        }
+        take_credit(&self.state, &self.work)
     }
 
-    /// Consume up to `max` op credits at once, advancing the op and work
-    /// counters by the number consumed. Returns how many were consumed
-    /// (0 when the run is exhausted).
-    ///
-    /// Only valid for runs of *effect-free* atomic operations (busy-wait
-    /// nops, ω-padding): no shared-memory access and no RNG draw may be
-    /// attributed to the consumed credits. Within a single granted run no
-    /// other processor executes, so advancing the counters in bulk is
-    /// observably identical to consuming them one
-    /// [`take_credit`](EngineGate::take_credit) at a time — every effectful
-    /// operation before and after the run still sees the same op, work, and
-    /// stamp values.
-    #[inline]
-    pub fn take_credits(&self, max: u64) -> u64 {
-        let take = self.state.credit.get().min(max);
-        if take > 0 {
-            self.state.credit.set(self.state.credit.get() - take);
-            self.state.ops.set(self.state.ops.get() + take);
-            self.work.set(self.work.get() + take);
-        }
-        take
-    }
-
-    /// The shared-memory effect of [`Ctx::read`]. Call after `take_credit`.
-    #[inline]
-    pub fn load(&self, addr: usize) -> Stamped {
-        self.mem.borrow_mut().load(addr, self.id)
-    }
-
-    /// The shared-memory effect of [`Ctx::write`]. Call after `take_credit`.
-    #[inline]
-    pub fn store(&self, addr: usize, w: Stamped) {
-        self.mem.borrow_mut().store(addr, w, self.id);
-    }
-
-    /// The shared-memory effect of [`Ctx::cas`]. Call after `take_credit`.
-    #[inline]
-    pub fn cas(&self, addr: usize, expect: Stamped, new: Stamped) -> Stamped {
-        self.mem.borrow_mut().cas(addr, expect, new, self.id)
-    }
-
-    /// The RNG effect of [`Ctx::rand_below`]. Call after `take_credit`.
+    /// Borrow the shared memory for the duration of one poll. See
+    /// [`GateSession`].
     ///
     /// # Panics
-    /// If `bound == 0`.
+    /// If the memory is already borrowed (a session is still live, or
+    /// protocol code is mid-operation — neither can happen from the
+    /// machine's poll loop).
     #[inline]
-    pub fn rand_below(&self, bound: u64) -> u64 {
-        assert!(bound > 0, "rand_below(0)");
-        self.rng.borrow_mut().gen_range(0..bound)
+    pub fn session(&self) -> GateSession<'_> {
+        GateSession {
+            id: self.id,
+            mem: self.mem.borrow_mut(),
+            rng: &self.rng,
+            state: &self.state,
+            work: &self.work,
+        }
     }
 }
 
@@ -306,102 +297,102 @@ impl std::fmt::Debug for EngineGate {
     }
 }
 
+/// One credit for the next operation (shared by [`EngineGate`] and
+/// [`GateSession`]). Nothing can be owed while a credit is in hand (see
+/// [`ProcState::parked`]), so the credit pays for the operation right
+/// after every parked one.
+#[inline(always)]
+fn take_credit(state: &ProcState, work: &Cell<u64>) -> bool {
+    let credit = state.credit.get();
+    if credit > 0 {
+        state.credit.set(credit - 1);
+        state.ops.set(state.ops.get() + 1);
+        work.set(work.get() + 1);
+        true
+    } else {
+        false
+    }
+}
+
 /// A borrowed fast path over an [`EngineGate`] for engines that execute
-/// many atomic operations per poll: the shared memory and the private RNG
-/// are borrowed **once per poll** instead of once per operation, removing
-/// two `RefCell` borrow handshakes from every load/store/draw.
+/// many atomic operations per poll: the shared memory is borrowed **once
+/// per poll** instead of once per operation. The private RNG is borrowed
+/// per draw, so a poll that draws nothing pays no RNG borrow.
 ///
 /// Acquire with [`EngineGate::session`] at poll entry and drop before
 /// returning — the machine (and any instrumentation hooks outside the
-/// poll) must be able to reborrow. Every method is effect-identical to its
-/// `EngineGate` counterpart.
+/// poll) must be able to reborrow. Every effect is identical to the
+/// corresponding [`Ctx`] operation's.
 pub struct GateSession<'a> {
     id: ProcId,
     mem: std::cell::RefMut<'a, SharedMemory>,
-    rng: std::cell::RefMut<'a, SmallRng>,
+    rng: &'a RefCell<SmallRng>,
     state: &'a ProcState,
     work: &'a Cell<u64>,
 }
 
-impl EngineGate {
-    /// Borrow the shared memory and RNG for the duration of one poll. See
-    /// [`GateSession`].
-    ///
-    /// # Panics
-    /// If the memory or RNG is already borrowed (a session is still live,
-    /// or protocol code is mid-operation — neither can happen from the
-    /// machine's poll loop).
-    #[inline]
-    pub fn session(&self) -> GateSession<'_> {
-        GateSession {
-            id: self.id,
-            mem: self.mem.borrow_mut(),
-            rng: self.rng.borrow_mut(),
-            state: &self.state,
-            work: &self.work,
-        }
-    }
-}
-
 impl GateSession<'_> {
-    /// [`EngineGate::ops`].
+    /// Atomic operations executed so far by this processor, parked ones
+    /// included (they are already applied).
     #[inline]
     pub fn ops(&self) -> u64 {
-        self.state.ops.get()
+        self.state.ops.get().saturating_add(self.state.parked.get())
     }
 
     /// [`EngineGate::take_credit`].
     #[inline]
     pub fn take_credit(&mut self) -> bool {
-        let credit = self.state.credit.get();
-        if credit > 0 {
-            self.state.credit.set(credit - 1);
-            self.state.ops.set(self.state.ops.get() + 1);
-            self.work.set(self.work.get() + 1);
-            true
-        } else {
-            false
-        }
+        take_credit(self.state, self.work)
     }
 
-    /// [`EngineGate::take_credits`].
+    /// Pay for `k` local operations whose effects the engine applies at
+    /// once: the credits in hand cover what they can, and the rest is
+    /// owed. The machine settles owed credits without polling; see the
+    /// module docs for the contract (no shared-memory access or other
+    /// observable effect, and the future must take at least one more
+    /// credit before it completes). `u64::MAX` parks forever: a
+    /// busy-waiting engine is then never polled again.
     #[inline]
-    pub fn take_credits(&mut self, max: u64) -> u64 {
-        let take = self.state.credit.get().min(max);
-        if take > 0 {
-            self.state.credit.set(self.state.credit.get() - take);
-            self.state.ops.set(self.state.ops.get() + take);
-            self.work.set(self.work.get() + take);
-        }
-        take
+    pub fn park(&mut self, k: u64) {
+        let st = self.state;
+        let owed = st.parked.get().saturating_add(k);
+        let paid = owed.min(st.credit.get());
+        st.credit.set(st.credit.get() - paid);
+        st.ops.set(st.ops.get() + paid);
+        self.work.set(self.work.get() + paid);
+        st.parked.set(owed - paid);
     }
 
-    /// [`EngineGate::load`].
+    /// The shared-memory effect of [`Ctx::read`]. Call after
+    /// [`take_credit`](GateSession::take_credit).
     #[inline]
     pub fn load(&mut self, addr: usize) -> Stamped {
         self.mem.load(addr, self.id)
     }
 
-    /// [`EngineGate::store`].
+    /// The shared-memory effect of [`Ctx::write`]. Call after
+    /// [`take_credit`](GateSession::take_credit).
     #[inline]
     pub fn store(&mut self, addr: usize, w: Stamped) {
         self.mem.store(addr, w, self.id);
     }
 
-    /// [`EngineGate::cas`].
+    /// The shared-memory effect of [`Ctx::cas`]. Call after
+    /// [`take_credit`](GateSession::take_credit).
     #[inline]
     pub fn cas(&mut self, addr: usize, expect: Stamped, new: Stamped) -> Stamped {
         self.mem.cas(addr, expect, new, self.id)
     }
 
-    /// [`EngineGate::rand_below`].
+    /// The RNG effect of [`Ctx::rand_below`]. Call after
+    /// [`take_credit`](GateSession::take_credit).
     ///
     /// # Panics
     /// If `bound == 0`.
     #[inline]
     pub fn rand_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "rand_below(0)");
-        self.rng.gen_range(0..bound)
+        self.rng.borrow_mut().gen_range(0..bound)
     }
 }
 

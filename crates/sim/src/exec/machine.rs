@@ -20,6 +20,21 @@
 //! polling would — until the run is exhausted. One poll per run instead of
 //! one per tick is the engine's largest win under bursty adversaries.
 //!
+//! Under interleaving adversaries runs are one tick long, so the machine
+//! also skips polls a synchronous engine has declared unnecessary: credits
+//! **parked** through [`GateSession::park`](super::GateSession::park) pay
+//! for local operations (ω-padding, register computation, private coin
+//! flips, the post-completion drain) whose effects the engine has already
+//! applied. Decisions for a processor with parked credits consume them
+//! first — op, work, tick and per-processor counters advance exactly as
+//! under a poll — and the future is polled only once nothing is owed.
+//! The engine must keep the contract documented in the `ctx` module:
+//! park only operations no other processor or observer can see, and only
+//! while the future will take at least one more credit before it
+//! completes, so completion-tick accounting (below) never meets an owed
+//! credit. [`Machine::dispatch_stats`] counts polls and polled, parked and
+//! idle ticks; they are telemetry, never part of a report.
+//!
 //! ## Invariants (checked by `tests/batch_determinism.rs`)
 //!
 //! * **Batch transparency** — a machine driven by any mix of [`Machine::tick`],
@@ -37,6 +52,9 @@
 //!   per executed tick under [`IdlePolicy::CountAsWork`], one per live
 //!   tick under [`IdlePolicy::Skip`], and `WriteEvent::work` equals the
 //!   work counter at the instant of the write.
+//! * **Tick attribution** — every executed tick is a polled tick, a parked
+//!   tick, or an idle tick of a completed processor
+//!   ([`DispatchStats`]; `tests/bytecode_determinism.rs` checks the sum).
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -68,6 +86,25 @@ pub enum IdlePolicy {
     /// The step is dropped silently (useful for harnesses that want to
     /// measure only live work).
     Skip,
+}
+
+/// Deterministic dispatch counters of a [`Machine`] (see
+/// [`Machine::dispatch_stats`]): how the executed ticks reached the
+/// processors. `polled_ticks + parked_ticks + idle_ticks` equals
+/// [`Machine::ticks`]. The tick counts are functions of the decision
+/// stream and the protocols; `polls` also depends on run coalescing, so
+/// it can differ between batch sizes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DispatchStats {
+    /// Protocol-future polls.
+    pub polls: u64,
+    /// Ticks granted to polls as credits (including the busy-wait tail of
+    /// a run during which the future completed).
+    pub polled_ticks: u64,
+    /// Ticks that settled parked credits without a poll.
+    pub parked_ticks: u64,
+    /// Ticks granted to processors whose future had already completed.
+    pub idle_ticks: u64,
 }
 
 struct ProcSlot {
@@ -199,6 +236,7 @@ impl MachineBuilder {
             batch: self.batch,
             live,
             block_hook: None,
+            stats: DispatchStats::default(),
         }
     }
 }
@@ -224,6 +262,7 @@ pub struct Machine {
     /// Telemetry observer called after each executed block (see
     /// [`Machine::set_block_hook`]); `None` costs one branch per block.
     block_hook: Option<Box<BlockHook>>,
+    stats: DispatchStats,
 }
 
 /// Block-boundary observer: `(executed, total_ticks, total_work)` —
@@ -269,6 +308,12 @@ impl Machine {
         self.live
     }
 
+    /// How the executed ticks were dispatched: polls, and polled, parked
+    /// and idle ticks (telemetry; see [`DispatchStats`]).
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        self.stats
+    }
+
     /// Whether processor `p`'s protocol future has completed.
     pub fn is_done(&self, p: ProcId) -> bool {
         self.procs[p.0].fut.is_none()
@@ -294,7 +339,8 @@ impl Machine {
     /// credits and polling once is observably identical to `k` per-tick
     /// polls: the body code between two awaits runs at the same work
     /// instant either way, and no other processor can run during the run
-    /// because the schedule granted it wholesale.
+    /// because the schedule granted it wholesale. Parked credits are
+    /// settled first, without a poll; only the rest of the run is granted.
     /// Returns the ticks actually executed: always `run`, except when
     /// `truncate_on_done` and this run completed the *last* live future —
     /// then the run is cut at the completion tick (exactly where the
@@ -309,70 +355,90 @@ impl Machine {
         truncate_on_done: bool,
     ) -> u64 {
         let slot = &mut self.procs[pid.0];
-        match slot.fut.as_mut() {
-            None => {
-                // Completed-processor fast path: busy-wait accounting for
-                // the whole run in O(1), no credit handshake, no poll.
-                if self.idle == IdlePolicy::CountAsWork {
-                    self.work.set(self.work.get() + run);
-                    self.per_proc_work[pid.0] += run;
-                }
-                self.ticks += run;
-                run
+        let Some(fut) = slot.fut.as_mut() else {
+            // Completed-processor fast path: busy-wait accounting for the
+            // whole run in O(1), no credit handshake, no poll.
+            if self.idle == IdlePolicy::CountAsWork {
+                self.work.set(self.work.get() + run);
+                self.per_proc_work[pid.0] += run;
             }
-            Some(fut) => {
-                slot.state.credit.set(run);
-                match fut.as_mut().poll(cx) {
-                    Poll::Ready(()) => {
-                        // The future completed mid-run after consuming
-                        // `run - leftover` ops; completion happens on the
-                        // last consuming tick, and the rest of the run is
-                        // busy-waiting. Exception: an await-free protocol
-                        // completes on its first granted tick without
-                        // consuming — the per-tick reference charges that
-                        // live poll tick under both idle policies.
-                        let leftover = slot.state.credit.get();
-                        slot.state.credit.set(0);
-                        slot.fut = None;
-                        self.live -= 1;
-                        let consumed = run - leftover;
-                        let first_poll_tick = u64::from(consumed == 0);
-                        if truncate_on_done && self.live == 0 {
-                            let used = consumed + first_poll_tick;
-                            self.work.set(self.work.get() + first_poll_tick);
-                            self.per_proc_work[pid.0] += used;
-                            self.ticks += used;
-                            return used;
-                        }
-                        match self.idle {
-                            IdlePolicy::CountAsWork => {
-                                self.work.set(self.work.get() + leftover);
-                                self.per_proc_work[pid.0] += run;
-                            }
-                            IdlePolicy::Skip => {
-                                self.work.set(self.work.get() + first_poll_tick);
-                                self.per_proc_work[pid.0] += consumed + first_poll_tick;
-                            }
-                        }
-                        self.ticks += run;
-                        run
-                    }
-                    Poll::Pending => {
-                        assert_eq!(
-                            slot.state.credit.get(),
-                            0,
-                            "protocol on {pid} yielded without performing an atomic operation \
-                             (protocols must only await Ctx operations)"
-                        );
-                        // All `run` credits were consumed (and charged to
-                        // the work counter by OpTick).
-                        self.per_proc_work[pid.0] += run;
-                        self.ticks += run;
-                        run
-                    }
-                }
+            self.ticks += run;
+            self.stats.idle_ticks += run;
+            return run;
+        };
+        let parked = slot.state.parked.get();
+        let owed = parked.min(run);
+        if owed > 0 {
+            // Local operations the engine already applied: the same
+            // op/work/tick accounting as a poll consuming them, minus the
+            // poll.
+            slot.state.parked.set(parked - owed);
+            slot.state.ops.set(slot.state.ops.get() + owed);
+            self.work.set(self.work.get() + owed);
+            self.per_proc_work[pid.0] += owed;
+            self.ticks += owed;
+            self.stats.parked_ticks += owed;
+            if owed == run {
+                return run;
             }
         }
+        let run = run - owed;
+        self.stats.polls += 1;
+        slot.state.credit.set(run);
+        let used = match fut.as_mut().poll(cx) {
+            Poll::Ready(()) => {
+                // The future completed mid-run after consuming
+                // `run - leftover` ops; completion happens on the last
+                // consuming tick, and the rest of the run is busy-waiting.
+                // Exception: an await-free protocol completes on its first
+                // granted tick without consuming — the per-tick reference
+                // charges that live poll tick under both idle policies.
+                debug_assert_eq!(
+                    slot.state.parked.get(),
+                    0,
+                    "protocol on {pid} completed with parked credits"
+                );
+                let leftover = slot.state.credit.get();
+                slot.state.credit.set(0);
+                slot.fut = None;
+                self.live -= 1;
+                let consumed = run - leftover;
+                let first_poll_tick = u64::from(consumed == 0);
+                if truncate_on_done && self.live == 0 {
+                    let used = consumed + first_poll_tick;
+                    self.work.set(self.work.get() + first_poll_tick);
+                    self.per_proc_work[pid.0] += used;
+                    used
+                } else {
+                    match self.idle {
+                        IdlePolicy::CountAsWork => {
+                            self.work.set(self.work.get() + leftover);
+                            self.per_proc_work[pid.0] += run;
+                        }
+                        IdlePolicy::Skip => {
+                            self.work.set(self.work.get() + first_poll_tick);
+                            self.per_proc_work[pid.0] += consumed + first_poll_tick;
+                        }
+                    }
+                    run
+                }
+            }
+            Poll::Pending => {
+                assert_eq!(
+                    slot.state.credit.get(),
+                    0,
+                    "protocol on {pid} yielded without performing an atomic operation \
+                     (protocols must only await Ctx operations)"
+                );
+                // All `run` credits were consumed (and charged to the work
+                // counter by OpTick).
+                self.per_proc_work[pid.0] += run;
+                run
+            }
+        };
+        self.ticks += used;
+        self.stats.polled_ticks += used;
+        owed + used
     }
 
     /// Execute up to `max` queued ticks (refilling the queue once if it is

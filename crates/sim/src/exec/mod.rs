@@ -4,7 +4,7 @@ mod ctx;
 mod machine;
 
 pub use ctx::{Ctx, EngineGate, GateSession};
-pub use machine::{BlockHook, IdlePolicy, Machine, MachineBuilder, DEFAULT_BATCH};
+pub use machine::{BlockHook, DispatchStats, IdlePolicy, Machine, MachineBuilder, DEFAULT_BATCH};
 
 #[cfg(test)]
 mod tests {
@@ -47,6 +47,56 @@ mod tests {
         m.run_ticks(10);
         assert!(m.all_done());
         // 4 live ops + 6 busy-wait ticks, all counted as work.
+        assert_eq!(m.work(), 10);
+    }
+
+    #[test]
+    fn dispatch_stats_attribute_every_tick() {
+        let mut m = two_op_machine(2);
+        m.run_ticks(10);
+        let st = m.dispatch_stats();
+        // 4 live ops, one poll each, then 6 busy-wait ticks.
+        assert_eq!(st.polls, 4);
+        assert_eq!(st.polled_ticks, 4);
+        assert_eq!(st.parked_ticks, 0);
+        assert_eq!(st.idle_ticks, 6);
+    }
+
+    #[test]
+    fn parked_credits_are_settled_without_a_poll() {
+        use std::future::Future;
+        use std::pin::Pin;
+        use std::task::{Context, Poll};
+        // Parks 3 local ops, then writes its op count: the write must see
+        // the parked ops counted and land on the 4th tick.
+        struct Parker(EngineGate, bool);
+        impl Future for Parker {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+                let gate = self.0.clone();
+                let mut sess = gate.session();
+                if !self.1 {
+                    sess.park(3);
+                    self.1 = true;
+                }
+                if sess.take_credit() {
+                    sess.store(0, Stamped::new(sess.ops(), 0));
+                    sess.park(u64::MAX);
+                }
+                Poll::Pending
+            }
+        }
+        let mut m = MachineBuilder::new(1, 1)
+            .schedule(Box::new(RoundRobin::new(1)))
+            .build(|ctx| Parker(EngineGate::new(&ctx), false));
+        m.run_ticks(3);
+        assert_eq!(m.peek(0), Stamped::ZERO, "parked ops come first");
+        m.run_ticks(1);
+        assert_eq!(m.peek(0), Stamped::new(4, 0));
+        m.run_ticks(6);
+        let st = m.dispatch_stats();
+        assert_eq!(st.polls, 2, "one poll parks, one poll writes");
+        assert_eq!(st.parked_ticks + st.polled_ticks, 10);
         assert_eq!(m.work(), 10);
     }
 

@@ -57,7 +57,8 @@ mod word;
 
 pub use error::RunTimeout;
 pub use exec::{
-    BlockHook, Ctx, EngineGate, GateSession, IdlePolicy, Machine, MachineBuilder, DEFAULT_BATCH,
+    BlockHook, Ctx, DispatchStats, EngineGate, GateSession, IdlePolicy, Machine, MachineBuilder,
+    DEFAULT_BATCH,
 };
 pub use json::{Json, JsonError};
 pub use memory::{Region, RegionAllocator, SharedMemory, WriteEvent, WriteHook};

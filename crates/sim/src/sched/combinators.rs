@@ -269,8 +269,9 @@ impl Schedule for PhaseSwitchSchedule {
 /// function of the tick index, and a window's ticks reach each group in
 /// increasing order — the same order `next` would poll that group's
 /// sub-schedule. `next_batch` therefore counts each group's share of the
-/// window, batches each sub-schedule once (sub-batches in stream order),
-/// and scatters the results back into tick order.
+/// window, batches each sub-schedule once (sub-batches in stream order,
+/// mapped to global ids in place), and scatters the results back into
+/// tick order.
 pub struct PartitionSchedule {
     /// `(sorted global member ids, local sub-schedule)` per group.
     groups: Vec<(Vec<usize>, Box<dyn Schedule>)>,
@@ -278,12 +279,15 @@ pub struct PartitionSchedule {
     owner: Vec<usize>,
     /// `tick mod n`.
     cursor: usize,
-    /// Per-group scratch for batched dispatch.
-    scratch: Vec<Vec<ProcId>>,
-    /// Per-group counters reused across `next_batch` calls (kept here so
-    /// the prefetch hot path stays allocation-free in steady state).
+    // Batched-dispatch scratch, reused across `next_batch` calls so the
+    // prefetch hot path stays allocation-free in steady state.
+    /// Every group's draws for the window, concatenated in group order and
+    /// mapped to global ids.
+    drawn: Vec<ProcId>,
+    /// Per group: its share of the window.
     counts: Vec<usize>,
-    taken: Vec<usize>,
+    /// Per group: its next read position in `drawn`.
+    pos: Vec<usize>,
 }
 
 impl PartitionSchedule {
@@ -305,16 +309,15 @@ impl PartitionSchedule {
             owner.iter().all(|&g| g != usize::MAX),
             "groups must cover all processors"
         );
-        let scratch = groups.iter().map(|_| Vec::new()).collect();
         let counts = vec![0; groups.len()];
-        let taken = vec![0; groups.len()];
+        let pos = vec![0; groups.len()];
         PartitionSchedule {
             groups,
             owner,
             cursor: 0,
-            scratch,
+            drawn: Vec::new(),
             counts,
-            taken,
+            pos,
         }
     }
 }
@@ -322,7 +325,10 @@ impl PartitionSchedule {
 impl Schedule for PartitionSchedule {
     fn next(&mut self) -> ProcId {
         let g = self.owner[self.cursor];
-        self.cursor = (self.cursor + 1) % self.owner.len();
+        self.cursor += 1;
+        if self.cursor == self.owner.len() {
+            self.cursor = 0;
+        }
         let (procs, sched) = &mut self.groups[g];
         let local = sched.next();
         ProcId(procs[local.0])
@@ -330,30 +336,48 @@ impl Schedule for PartitionSchedule {
 
     fn next_batch(&mut self, out: &mut [ProcId]) {
         let n = self.owner.len();
-        // Count each group's share of this window.
-        self.counts.fill(0);
-        let mut slot = self.cursor;
-        for _ in 0..out.len() {
-            self.counts[self.owner[slot]] += 1;
-            slot = (slot + 1) % n;
+        // Each group's share of this window: whole rounds of `n` ticks
+        // give it one tick per member, and the partial round is the run of
+        // slots from the cursor (wrapping at most once).
+        let (rounds, rest) = (out.len() / n, out.len() % n);
+        for (count, (procs, _)) in self.counts.iter_mut().zip(&self.groups) {
+            *count = rounds * procs.len();
         }
-        // One batched draw per group, in stream order.
-        for (g, count) in self.counts.iter().enumerate() {
-            let buf = &mut self.scratch[g];
-            buf.resize(*count, ProcId(0));
-            if *count > 0 {
-                self.groups[g].1.next_batch(buf);
+        let tail = (self.cursor + rest).min(n);
+        let wrapped = self.cursor + rest - tail;
+        for &g in self.owner[self.cursor..tail]
+            .iter()
+            .chain(&self.owner[..wrapped])
+        {
+            self.counts[g] += 1;
+        }
+        // One batched draw per group, in stream order, mapped to global
+        // ids in place.
+        self.drawn.resize(out.len(), ProcId(0));
+        let mut start = 0;
+        for (g, (procs, sched)) in self.groups.iter_mut().enumerate() {
+            let share = &mut self.drawn[start..start + self.counts[g]];
+            if !share.is_empty() {
+                sched.next_batch(share);
+                for p in share.iter_mut() {
+                    *p = ProcId(procs[p.0]);
+                }
+            }
+            self.pos[g] = start;
+            start += self.counts[g];
+        }
+        // Scatter back into tick order.
+        let mut slot = self.cursor;
+        for slot_out in out.iter_mut() {
+            let g = self.owner[slot];
+            *slot_out = self.drawn[self.pos[g]];
+            self.pos[g] += 1;
+            slot += 1;
+            if slot == n {
+                slot = 0;
             }
         }
-        // Scatter back into tick order, mapping local ids to global.
-        self.taken.fill(0);
-        for slot_out in out.iter_mut() {
-            let g = self.owner[self.cursor];
-            self.cursor = (self.cursor + 1) % n;
-            let local = self.scratch[g][self.taken[g]];
-            self.taken[g] += 1;
-            *slot_out = ProcId(self.groups[g].0[local.0]);
-        }
+        self.cursor = slot;
     }
 
     fn n(&self) -> usize {

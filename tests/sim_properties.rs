@@ -1,7 +1,10 @@
 //! Property tests for the A-PRAM simulator's invariants.
 
-use apex::sim::{IdlePolicy, MachineBuilder, ScheduleKind, Stamped};
+use apex::sim::{AdversarySpec, Group, IdlePolicy, MachineBuilder, ProcId, ScheduleKind, Stamped};
 use proptest::prelude::*;
+use rand::distributions::{Distribution, WeightedIndex};
+use rand::rngs::mock::StepRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 fn any_schedule() -> impl Strategy<Value = ScheduleKind> {
     prop_oneof![
@@ -130,5 +133,112 @@ proptest! {
         b.run_ticks(ticks);
         prop_assert_eq!(a.work(), ticks);
         prop_assert_eq!(b.work(), n.min(ticks as usize) as u64);
+    }
+}
+
+/// The index plain inversion picks for the 53-bit draw `m`: the sampling
+/// code `WeightedIndex` had before its guide table — `gen_range` over the
+/// total weight fed the raw output `m << 11`, then a binary search.
+fn plain_inversion(cumulative: &[f64], m: u64) -> usize {
+    let total = *cumulative.last().unwrap();
+    let u = StepRng::new(m << 11, 0).gen_range(0.0f64..total);
+    cumulative
+        .partition_point(|c| *c <= u)
+        .min(cumulative.len() - 1)
+}
+
+/// The guide-table sampler returns exactly the plain-inversion index: at
+/// both end draws of every guide bucket (so, by monotonicity, everywhere
+/// in every unmixed bucket) and for a stream of random draws — over zipf
+/// and two-class speeds and weight vectors with zero entries.
+#[test]
+fn weighted_index_guide_table_matches_plain_inversion() {
+    let zipf =
+        |n: usize, s: f64| -> Vec<f64> { (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect() };
+    let mut vectors = vec![
+        vec![2.5],
+        vec![5.0, 0.0],
+        vec![0.0, 0.0, 1.0],
+        vec![0.0, 1.0, 0.0, 0.0, 3.0, 0.0],
+        vec![1e-12, 1.0, 1e-12, 0.0, 1e12],
+        (0..16).map(|i| if i < 4 { 1.0 } else { 16.0 }).collect(),
+        (0..12).map(|i| if i < 9 { 1.0 } else { 3.0 }).collect(),
+        zipf(5000, 1.0),
+    ];
+    for n in [2, 16, 100] {
+        for s in [0.5, 1.0, 1.5] {
+            vectors.push(zipf(n, s));
+        }
+    }
+    for (v, weights) in vectors.iter().enumerate() {
+        let cumulative: Vec<f64> = weights
+            .iter()
+            .scan(0.0, |acc, w| {
+                *acc += w;
+                Some(*acc)
+            })
+            .collect();
+        let d = WeightedIndex::new(weights).unwrap();
+        let width = (1u64 << 53) / d.guide_buckets() as u64;
+        for b in 0..d.guide_buckets() as u64 {
+            for m in [b * width, (b + 1) * width - 1] {
+                assert_eq!(
+                    d.index_of_draw(m),
+                    plain_inversion(&cumulative, m),
+                    "vector {v}, bucket {b}, draw {m}"
+                );
+            }
+        }
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(v as u64);
+        let mut raw = rng.clone();
+        for _ in 0..20_000 {
+            let m = raw.next_u64() >> 11;
+            assert_eq!(
+                d.sample(&mut rng),
+                plain_inversion(&cumulative, m),
+                "vector {v}"
+            );
+        }
+    }
+}
+
+/// A partition's batched decision stream equals its per-tick stream at
+/// ragged batch sizes: shorter than a round, whole rounds, and windows
+/// that wrap the slot cursor several times.
+#[test]
+fn partition_batches_equal_the_per_tick_stream() {
+    let n = 10;
+    let spec = AdversarySpec::Partition {
+        groups: vec![
+            Group {
+                procs: vec![0, 3, 4, 9],
+                spec: ScheduleKind::Zipf { s: 1.0 }.into(),
+            },
+            Group {
+                procs: vec![1, 2],
+                spec: ScheduleKind::Uniform.into(),
+            },
+            Group {
+                procs: vec![5, 6, 7, 8],
+                spec: ScheduleKind::RoundRobin.into(),
+            },
+        ],
+    };
+    let sizes = [1usize, 3, 10, 7, 256, 11, 20, 9, 64, 2, 31];
+    for seed in 0..3 {
+        let mut reference = spec.build(n, seed);
+        let serial: Vec<ProcId> = (0..4000).map(|_| reference.next()).collect();
+        let mut batched = spec.build(n, seed);
+        let mut got = Vec::with_capacity(serial.len());
+        let mut buf = [ProcId(0); 256];
+        for k in 0.. {
+            if got.len() == serial.len() {
+                break;
+            }
+            let take = sizes[k % sizes.len()].min(serial.len() - got.len());
+            batched.next_batch(&mut buf[..take]);
+            got.extend_from_slice(&buf[..take]);
+        }
+        assert_eq!(got, serial, "seed {seed}");
     }
 }
