@@ -594,7 +594,8 @@ fn commit_cell(
 /// Merge + finalize: reconstruct every cell's outcome from verified
 /// records (or journal `poisoned` entries), run the suite's pinned
 /// output checks through the runner's own assembly path, and write the
-/// manifest — byte-identical to what a single `apex suite run` writes.
+/// manifest — byte-identical to what a single `apex suite run` writes,
+/// with each row pinned to the checksum of the bytes verified here.
 fn finalize(
     store: &LabStore,
     digest: &str,
@@ -604,10 +605,15 @@ fn finalize(
 ) -> Result<(), String> {
     let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
     let mut outcomes = Vec::with_capacity(cells.len());
+    let mut checksums = Vec::with_capacity(cells.len());
     for cell in cells {
-        match store.lookup_record(digest, &cell.digest, None) {
-            CacheLookup::Hit(_, record) => outcomes.push(RunOutcome::Complete(record)),
+        match store.verify_record(digest, &cell.digest, None) {
+            Ok(Some(v)) => {
+                outcomes.push(RunOutcome::Complete(v.record));
+                checksums.push(Some(v.checksum));
+            }
             _ => {
+                checksums.push(None);
                 let (status, message) = state
                     .entries
                     .iter()
@@ -638,7 +644,9 @@ fn finalize(
             }
         }
     }
-    let run = assemble_run(suite, cells, outcomes);
+    let mut run = assemble_run(suite, cells, outcomes);
+    // Pin the bytes just verified instead of rendering every record again.
+    run.checksums = checksums;
     let manifest = Manifest::from_run(&run);
     store
         .write_manifest(&manifest)

@@ -57,8 +57,8 @@ pub use runner::{
     OutputMismatch, SuiteRun,
 };
 pub use store::{
-    CacheLookup, LabStore, Manifest, ManifestCell, CACHE_STATS_FILE, DEFAULT_STORE_ROOT,
-    EXEC_STATS_FILE, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
+    CacheLookup, LabStore, Manifest, ManifestCell, VerifiedRecord, CACHE_STATS_FILE,
+    DEFAULT_STORE_ROOT, EXEC_STATS_FILE, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
     Cell, Grid, OutputExpectation, SeedRange, Suite, SUITE_FORMAT_MAJOR, SUITE_FORMAT_MINOR,

@@ -1,10 +1,11 @@
 //! Executing a suite on the workspace's parallel trial runner, with
 //! per-cell panic isolation and (optionally) write-ahead journaling.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use apex_bench::runner::{resolve_threads, run_trials};
+use apex_bench::runner::{resolve_threads, run_trials, run_trials_threaded};
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, ExecMode, ExecStats, ReportRecord, RunOutcome};
 
@@ -12,7 +13,7 @@ use crate::bench::ExecStatsDoc;
 
 use crate::fault::CELL_PANIC_MARKER;
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
-use crate::store::{CacheLookup, LabStore, Manifest};
+use crate::store::{LabStore, Manifest};
 use crate::suite::{Cell, Suite};
 
 /// A pinned cell whose run produced the wrong results: the suite's
@@ -60,6 +61,11 @@ pub struct SuiteRun {
     /// Output assertions that failed: pinned cells whose run produced
     /// different results even though the verifier may have been clean.
     pub output_mismatches: Vec<OutputMismatch>,
+    /// Per cell, the checksum of its record's canonical bytes when the
+    /// run already holds it (it wrote or verified those bytes), so
+    /// [`Manifest::from_run`] need not render the record again. Empty
+    /// for runs assembled from outcomes alone.
+    pub checksums: Vec<Option<String>>,
 }
 
 impl SuiteRun {
@@ -113,12 +119,16 @@ pub fn assemble_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) ->
 fn finish_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> SuiteRun {
     // Check the suite's pinned outputs against what actually ran
     // (expansion validated that every pinned digest names a cell).
+    let mut by_digest: HashMap<&str, Vec<usize>> = HashMap::new();
+    if !suite.expect.is_empty() {
+        for (k, cell) in cells.iter().enumerate() {
+            by_digest.entry(&cell.digest).or_default().push(k);
+        }
+    }
     let mut output_mismatches = Vec::new();
     for expect in &suite.expect {
-        for (cell, outcome) in cells.iter().zip(&outcomes) {
-            if cell.digest != expect.cell {
-                continue;
-            }
+        for &k in by_digest.get(expect.cell.as_str()).into_iter().flatten() {
+            let (cell, outcome) = (&cells[k], &outcomes[k]);
             let actual = outcome.record().and_then(|r| r.outputs.clone());
             if actual.as_deref() != Some(expect.outputs.as_slice()) {
                 output_mismatches.push(OutputMismatch {
@@ -135,6 +145,7 @@ fn finish_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> Suite
         suite_digest: suite.digest(),
         outcomes,
         output_mismatches,
+        checksums: Vec::new(),
     }
 }
 
@@ -238,6 +249,13 @@ impl JournaledRun {
 /// manifest and record set are byte-identical to an uninterrupted run
 /// (the determinism the whole store is built on).
 ///
+/// The resume/cache checks ([`LabStore::verify_record`]) run on the
+/// same `resolve_threads(opts.threads)` runner threads that execute
+/// cells; their verdicts reach the tally, the trace and the skip list in
+/// cell order, so every thread count reports the same run. The manifest
+/// pins each record by the checksum of the bytes this run wrote
+/// ([`LabStore::write_record`]) or verified, never a second rendering.
+///
 /// With a [`FaultInjector`](crate::fault::FaultInjector) installed on
 /// `store`, injected kills surface as `Err` mid-run — exactly like a
 /// real crash, minus the process exit.
@@ -278,7 +296,11 @@ pub fn run_suite_journaled(
     // (which digest-verifies the embedded scenario), sits at its own
     // address, and is byte-identical to its canonical rendering — and,
     // on the cached path, matches the manifest row's pinned checksum.
+    // The checks run on the runner threads; each keeps only the verdict,
+    // the parsed record and the checksum of the verified bytes (which
+    // the manifest reuses), and the verdicts are applied in cell order.
     let mut slots: Vec<Option<RunOutcome>> = vec![None; cells.len()];
+    let mut checksums: Vec<Option<String>> = vec![None; cells.len()];
     let mut skipped = Vec::new();
     let mut cache = CacheStats::default();
     if opts.resume || opts.cached {
@@ -287,25 +309,33 @@ pub fn run_suite_journaled(
         } else {
             None
         };
-        for cell in &cells {
-            let verdict = match store.lookup_record(&suite_digest, &cell.digest, manifest.as_ref())
-            {
-                CacheLookup::Hit(_, record) => {
+        let verdicts = run_trials_threaded(&cells, resolve_threads(opts.threads), |cell| {
+            let pinned = manifest
+                .as_ref()
+                .and_then(|m| m.pinned_checksum(cell.index, &cell.digest));
+            store
+                .verify_record(&suite_digest, &cell.digest, pinned)
+                .map(|hit| hit.map(|v| (v.record, v.checksum)))
+        });
+        for (cell, verdict) in cells.iter().zip(verdicts) {
+            let label = match verdict {
+                Ok(Some((record, checksum))) => {
                     slots[cell.index] = Some(RunOutcome::Complete(record));
+                    checksums[cell.index] = Some(checksum);
                     skipped.push(cell.index);
                     cache.hits += 1;
                     "hit"
                 }
-                CacheLookup::Miss => {
+                Ok(None) => {
                     cache.misses += 1;
                     "miss"
                 }
-                CacheLookup::Rejected(_) => {
+                Err(_) => {
                     cache.rejected += 1;
                     "rejected"
                 }
             };
-            obs.emit("lab", "cache", cell.index as u64, verdict, &[]);
+            obs.emit("lab", "cache", cell.index as u64, label, &[]);
         }
     }
 
@@ -337,54 +367,56 @@ pub fn run_suite_journaled(
     // claimed → (committed | poisoned) order per cell; workers only run
     // scenarios. `threads = 1` takes the fully deterministic serial
     // path (the golden-journal test pins its exact line sequence).
-    let commit = |journal: &Journal, cell: &Cell, outcome: &RunOutcome| -> Result<(), String> {
-        match outcome.record() {
-            Some(record) => {
-                store
-                    .write_record(&suite_digest, record)
-                    .map_err(|e| format!("record write failed: {e}"))?;
-                journal
-                    .append(&JournalEntry::Committed {
-                        index: cell.index as u64,
-                        cell: cell.digest.clone(),
-                        ok: outcome.ok(),
-                        by: String::new(),
-                    })
-                    .map_err(jerr)?;
-                obs.emit(
-                    "lab",
-                    "commit",
-                    cell.index as u64,
-                    &cell.digest,
-                    &[("ok", u64::from(outcome.ok()))],
-                );
-                Ok(())
+    // Returns the written record's checksum, for the manifest.
+    let commit =
+        |journal: &Journal, cell: &Cell, outcome: &RunOutcome| -> Result<Option<String>, String> {
+            match outcome.record() {
+                Some(record) => {
+                    let checksum = store
+                        .write_record(&suite_digest, record)
+                        .map_err(|e| format!("record write failed: {e}"))?;
+                    journal
+                        .append(&JournalEntry::Committed {
+                            index: cell.index as u64,
+                            cell: cell.digest.clone(),
+                            ok: outcome.ok(),
+                            by: String::new(),
+                        })
+                        .map_err(jerr)?;
+                    obs.emit(
+                        "lab",
+                        "commit",
+                        cell.index as u64,
+                        &cell.digest,
+                        &[("ok", u64::from(outcome.ok()))],
+                    );
+                    Ok(Some(checksum))
+                }
+                None => {
+                    journal
+                        .append(&JournalEntry::Poisoned {
+                            index: cell.index as u64,
+                            cell: cell.digest.clone(),
+                            status: outcome.status().to_string(),
+                            message: match outcome {
+                                RunOutcome::Exhausted { message, .. }
+                                | RunOutcome::Poisoned { message, .. } => message.clone(),
+                                RunOutcome::Complete(_) => unreachable!("record() is None"),
+                            },
+                            by: String::new(),
+                        })
+                        .map_err(jerr)?;
+                    obs.emit(
+                        "lab",
+                        outcome.status(),
+                        cell.index as u64,
+                        &cell.digest,
+                        &[],
+                    );
+                    Ok(None)
+                }
             }
-            None => {
-                journal
-                    .append(&JournalEntry::Poisoned {
-                        index: cell.index as u64,
-                        cell: cell.digest.clone(),
-                        status: outcome.status().to_string(),
-                        message: match outcome {
-                            RunOutcome::Exhausted { message, .. }
-                            | RunOutcome::Poisoned { message, .. } => message.clone(),
-                            RunOutcome::Complete(_) => unreachable!("record() is None"),
-                        },
-                        by: String::new(),
-                    })
-                    .map_err(jerr)?;
-                obs.emit(
-                    "lab",
-                    outcome.status(),
-                    cell.index as u64,
-                    &cell.digest,
-                    &[],
-                );
-                Ok(())
-            }
-        }
-    };
+        };
 
     let mut exec = ExecStats::default();
     let threads = resolve_threads(opts.threads).min(pending.len().max(1));
@@ -401,7 +433,7 @@ pub fn run_suite_journaled(
             obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
             let (outcome, stats) = run_one(cell);
             exec.absorb(&stats);
-            commit(&journal, cell, &outcome)?;
+            checksums[i] = commit(&journal, cell, &outcome)?;
             slots[i] = Some(outcome);
         }
     } else {
@@ -455,7 +487,8 @@ pub fn run_suite_journaled(
                         }),
                     Msg::Done(i, outcome, stats) => {
                         exec.absorb(&stats);
-                        commit(&journal, &cells[i], &outcome).map(|()| {
+                        commit(&journal, &cells[i], &outcome).map(|checksum| {
+                            checksums[i] = checksum;
                             slots[i] = Some(outcome);
                         })
                     }
@@ -480,9 +513,11 @@ pub fn run_suite_journaled(
         .filter_map(|&i| outcomes[i].record())
         .map(|r| r.report.ticks())
         .sum();
-    let run = finish_run(suite, &cells, outcomes);
+    let mut run = finish_run(suite, &cells, outcomes);
+    run.checksums = checksums;
     // Records are already durable (committed incrementally above); only
-    // the manifest remains.
+    // the manifest remains, pinned to the bytes this run wrote or
+    // verified.
     let manifest = Manifest::from_run(&run);
     store
         .write_manifest(&manifest)

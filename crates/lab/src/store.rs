@@ -97,6 +97,18 @@ pub enum CacheLookup {
     Rejected(String),
 }
 
+/// A stored record that passed every check of
+/// [`LabStore::verify_record`].
+#[derive(Debug)]
+pub struct VerifiedRecord {
+    /// The exact file text.
+    pub text: String,
+    /// The parsed record.
+    pub record: Box<ReportRecord>,
+    /// FNV-1a digest of `text` — what a manifest row pins.
+    pub checksum: String,
+}
+
 fn jerr(msg: impl Into<String>) -> JsonError {
     JsonError {
         msg: msg.into(),
@@ -138,8 +150,11 @@ pub struct Manifest {
 
 impl Manifest {
     /// Build the manifest for a completed run: one row per outcome in
-    /// expansion order, record checksums computed from the canonical
-    /// (intended) record bytes.
+    /// expansion order. A row's checksum is the one the run already holds
+    /// for the record ([`SuiteRun::checksums`]: the bytes it wrote or
+    /// verified); only a record with no known checksum — every record of
+    /// a run from [`assemble_run`](crate::assemble_run) — is rendered and
+    /// hashed here.
     pub fn from_run(run: &SuiteRun) -> Self {
         Manifest {
             name: run.name.clone(),
@@ -154,12 +169,24 @@ impl Manifest {
                     status: outcome.status().to_string(),
                     ok: outcome.ok(),
                     summary: outcome.summary(),
-                    checksum: outcome
-                        .record()
-                        .map(|r| digest_hex(r.render_pretty().as_bytes())),
+                    checksum: outcome.record().map(|r| match run.checksums.get(index) {
+                        Some(Some(sum)) => sum.clone(),
+                        _ => digest_hex(r.render_pretty().as_bytes()),
+                    }),
                 })
                 .collect(),
         }
+    }
+
+    /// The checksum pinned for cell `index` with scenario `digest`: the
+    /// row at `index` when it names that cell (always, for a manifest of
+    /// the same expansion), else the first row with that digest.
+    pub fn pinned_checksum(&self, index: usize, digest: &str) -> Option<&str> {
+        self.cells
+            .get(index)
+            .filter(|row| row.digest == digest)
+            .or_else(|| self.cells.iter().find(|row| row.digest == digest))
+            .and_then(|row| row.checksum.as_deref())
     }
 
     /// The manifest's core document, without the self-checksum field.
@@ -394,54 +421,70 @@ impl LabStore {
         apex_obs::Metrics::load(&self.metrics_path(suite_digest))
     }
 
-    /// Look up one cell's record by digest, trusting only verified bytes.
-    ///
-    /// Verification is the resume path from the journal runner: the file
-    /// must parse (which digest-verifies the embedded scenario), the
-    /// record digest must equal `cell_digest`, and the file text must be
-    /// the record's canonical rendering. When `manifest` is supplied, the
-    /// matching row's pinned checksum must also match the file bytes —
-    /// the same invariant `apex lab fsck` enforces.
+    /// Look up one cell's record by digest, trusting only verified bytes
+    /// ([`LabStore::verify_record`], pinned to the first manifest row for
+    /// `cell_digest` when `manifest` is supplied — the same invariant
+    /// `apex lab fsck` enforces).
     pub fn lookup_record(
         &self,
         suite_digest: &str,
         cell_digest: &str,
         manifest: Option<&Manifest>,
     ) -> CacheLookup {
-        let path = self.record_path(suite_digest, cell_digest);
-        if !path.exists() {
-            return CacheLookup::Miss;
+        let pinned = manifest.and_then(|m| {
+            m.cells
+                .iter()
+                .find(|row| row.digest == cell_digest)
+                .and_then(|row| row.checksum.as_deref())
+        });
+        match self.verify_record(suite_digest, cell_digest, pinned) {
+            Ok(Some(v)) => CacheLookup::Hit(v.text, v.record),
+            Ok(None) => CacheLookup::Miss,
+            Err(reason) => CacheLookup::Rejected(reason),
         }
+    }
+
+    /// Verify one cell's stored record in a single pass: the file must
+    /// parse (which digest-verifies the embedded scenario), the record
+    /// digest must equal `cell_digest`, the file text must be the
+    /// record's canonical rendering, and its checksum must equal
+    /// `pinned` when one is given. `Ok(None)` is a miss (no file at the
+    /// address), `Err` a rejection with the failed check.
+    pub fn verify_record(
+        &self,
+        suite_digest: &str,
+        cell_digest: &str,
+        pinned: Option<&str>,
+    ) -> Result<Option<VerifiedRecord>, String> {
+        let path = self.record_path(suite_digest, cell_digest);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
-            Err(e) => return CacheLookup::Rejected(format!("unreadable: {e}")),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("unreadable: {e}")),
         };
-        let record = match ReportRecord::parse(&text) {
-            Ok(r) => r,
-            Err(e) => return CacheLookup::Rejected(format!("unparseable: {e}")),
-        };
-        if record.digest() != cell_digest {
-            return CacheLookup::Rejected(format!(
-                "digest mismatch: file claims scenario {}, address says {cell_digest}",
-                record.digest()
+        let record = ReportRecord::parse(&text).map_err(|e| format!("unparseable: {e}"))?;
+        let digest = record.digest();
+        if digest != cell_digest {
+            return Err(format!(
+                "digest mismatch: file claims scenario {digest}, address says {cell_digest}"
             ));
         }
         if text != record.render_pretty() {
-            return CacheLookup::Rejected("not the canonical rendering of its contents".into());
+            return Err("not the canonical rendering of its contents".into());
         }
-        if let Some(manifest) = manifest {
-            if let Some(row) = manifest.cells.iter().find(|c| c.digest == cell_digest) {
-                if let Some(pinned) = &row.checksum {
-                    let actual = digest_hex(text.as_bytes());
-                    if &actual != pinned {
-                        return CacheLookup::Rejected(format!(
-                            "manifest pins checksum {pinned}, file bytes hash to {actual}"
-                        ));
-                    }
-                }
+        let checksum = digest_hex(text.as_bytes());
+        if let Some(pinned) = pinned {
+            if checksum != pinned {
+                return Err(format!(
+                    "manifest pins checksum {pinned}, file bytes hash to {checksum}"
+                ));
             }
         }
-        CacheLookup::Hit(text, Box::new(record))
+        Ok(Some(VerifiedRecord {
+            text,
+            record: Box::new(record),
+            checksum,
+        }))
     }
 
     /// Cross-suite cache lookup: find a verified record for

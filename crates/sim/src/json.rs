@@ -94,9 +94,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
+            Json::UInt(u) => render_u64(*u, out),
             Json::Num(x) => render_f64(*x, out),
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
@@ -126,8 +124,13 @@ impl Json {
 
     fn render_pretty_into(&self, out: &mut String, depth: usize) {
         let pad = |out: &mut String, d: usize| {
-            for _ in 0..d {
-                out.push_str("  ");
+            // One push for any depth a record reaches.
+            const SPACES: &str = "                                ";
+            let mut width = 2 * d;
+            while width > 0 {
+                let chunk = width.min(SPACES.len());
+                out.push_str(&SPACES[..chunk]);
+                width -= chunk;
             }
         };
         match self {
@@ -221,16 +224,14 @@ impl Json {
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Result<&Json, JsonError> {
         match self {
-            Json::Obj(fields) => {
-                fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or(JsonError {
-                        msg: format!("missing field {key:?}"),
-                        at: 0,
-                    })
-            }
+            Json::Obj(fields) => fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .ok_or_else(|| JsonError {
+                    msg: format!("missing field {key:?}"),
+                    at: 0,
+                }),
             other => err(format!("expected object with {key:?}, got {other:?}"), 0),
         }
     }
@@ -242,6 +243,22 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// Decimal digits of `u`, without the `fmt` machinery (records are
+/// mostly small integers).
+fn render_u64(mut u: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
 }
 
 fn render_f64(x: f64, out: &mut String) {
@@ -268,19 +285,29 @@ fn render_f64(x: f64, out: &mut String) {
 
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs escaping is ASCII, so the unescaped runs
+    // between them start and end on char boundaries: copy each run whole.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -318,6 +345,22 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Json
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
+    // Fast path: a plain run of digits that fits u64.
+    let mut u = 0u64;
+    while let Some(&d @ b'0'..=b'9') = b.get(*pos) {
+        match u
+            .checked_mul(10)
+            .and_then(|v| v.checked_add(u64::from(d - b'0')))
+        {
+            Some(v) => u = v,
+            None => break,
+        }
+        *pos += 1;
+    }
+    if *pos > start && !matches!(b.get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+        return Ok(Json::UInt(u));
+    }
+    *pos = start;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
@@ -359,73 +402,61 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or escape in one piece (both
+        // delimiters are ASCII, so the run is whole UTF-8 characters).
+        let run = *pos;
+        while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+            *pos += 1;
+        }
+        if *pos > run {
+            out.push_str(std::str::from_utf8(&b[run..*pos]).map_err(|_| JsonError {
+                msg: "invalid utf-8 in string".into(),
+                at: run,
+            })?);
+        }
         let Some(&c) = b.get(*pos) else {
             return err("unterminated string", *pos);
         };
         *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&e) = b.get(*pos) else {
-                    return err("unterminated escape", *pos);
-                };
-                *pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return err("truncated \\u escape", *pos);
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| JsonError {
-                                msg: "non-ascii \\u escape".into(),
-                                at: *pos,
-                            })?
-                            .to_string();
-                        let code = u32::from_str_radix(&hex, 16).map_err(|_| JsonError {
-                            msg: format!("bad \\u escape {hex:?}"),
-                            at: *pos,
-                        })?;
-                        *pos += 4;
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => return err("surrogate \\u escape unsupported", *pos),
-                        }
-                    }
-                    _ => return err(format!("unknown escape \\{}", e as char), *pos),
+        if c == b'"' {
+            return Ok(out);
+        }
+        // `c` was the backslash of an escape.
+        let Some(&e) = b.get(*pos) else {
+            return err("unterminated escape", *pos);
+        };
+        *pos += 1;
+        match e {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                if *pos + 4 > b.len() {
+                    return err("truncated \\u escape", *pos);
                 }
-            }
-            _ => {
-                // Re-sync to a char boundary for multi-byte UTF-8.
-                let s = &b[*pos - 1..];
-                let ch_len = utf8_len(c);
-                if s.len() < ch_len {
-                    return err("truncated utf-8", *pos);
-                }
-                let ch = std::str::from_utf8(&s[..ch_len]).map_err(|_| JsonError {
-                    msg: "invalid utf-8 in string".into(),
+                let hex = std::str::from_utf8(&b[*pos..*pos + 4])
+                    .map_err(|_| JsonError {
+                        msg: "non-ascii \\u escape".into(),
+                        at: *pos,
+                    })?
+                    .to_string();
+                let code = u32::from_str_radix(&hex, 16).map_err(|_| JsonError {
+                    msg: format!("bad \\u escape {hex:?}"),
                     at: *pos,
                 })?;
-                out.push_str(ch);
-                *pos += ch_len - 1;
+                *pos += 4;
+                match char::from_u32(code) {
+                    Some(c) => out.push(c),
+                    None => return err("surrogate \\u escape unsupported", *pos),
+                }
             }
+            _ => return err(format!("unknown escape \\{}", e as char), *pos),
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 

@@ -23,10 +23,11 @@ use std::sync::Arc;
 
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    fsck, is_kill, lease_dir, lease_path, read_journal, run_suite_journaled, FaultInjector,
-    FaultPlan, FsckIssueKind, Grid, JournalOpts, LabStore, Lease, SeedRange, Suite, TornWrite,
-    TELEMETRY_FILES,
+    digest_hex, fsck, is_kill, lease_dir, lease_path, read_journal, run_suite_journaled,
+    FaultInjector, FaultPlan, FsckIssueKind, Grid, JournalOpts, LabStore, Lease, SeedRange, Suite,
+    TornWrite, TELEMETRY_FILES,
 };
+use apex_obs::ObsOpts;
 use apex_scenario::{CacheStats, ProgramSource, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
@@ -580,5 +581,197 @@ fn worker_cache_stats_tally_hits_on_a_pre_populated_store() {
     assert!(report.finalized.is_empty(), "already finished upstream");
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), before);
     let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+/// Everything a rerun reports that must not depend on its thread count.
+#[derive(Debug, PartialEq)]
+struct RerunView {
+    cache: CacheStats,
+    skipped: Vec<usize>,
+    executed: Vec<usize>,
+    manifest: Vec<u8>,
+    cache_stats: Option<Vec<u8>>,
+    trace: Vec<u8>,
+    store: BTreeMap<String, Vec<u8>>,
+}
+
+#[test]
+fn cached_and_resumed_reruns_agree_at_every_thread_count() {
+    // The store checks run on the runner threads, but their verdicts are
+    // applied in cell order: tallies, skip lists, manifest, sidecar and
+    // trace are the same at 1, 2 and 4 threads. Each rerun starts from a
+    // cold store with one record deleted (a miss) and one corrupted (a
+    // rejection); the other cells are hits.
+    let suite = committed_suite("smoke");
+    let digest = suite.digest();
+    let reference = reference_map(&suite, "threads-ref");
+    for (mode, cached) in [("resume", false), ("cached", true)] {
+        let views: Vec<(usize, RerunView)> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let store = temp_store(&format!("threads-{mode}-{threads}"));
+                run_suite_journaled(&suite, &store, &serial()).unwrap();
+                let manifest = store.read_manifest(&digest).unwrap();
+                std::fs::remove_file(store.record_path(&digest, &manifest.cells[2].digest))
+                    .unwrap();
+                std::fs::write(
+                    store.record_path(&digest, &manifest.cells[7].digest),
+                    "{\"torn\": ",
+                )
+                .unwrap();
+                let trace = temp_dir(&format!("threads-{mode}-{threads}.jsonl"));
+                let opts = JournalOpts {
+                    resume: !cached,
+                    cached,
+                    threads: Some(threads),
+                    obs: ObsOpts {
+                        trace: Some(trace.clone()),
+                        ..ObsOpts::off()
+                    },
+                    ..JournalOpts::default()
+                };
+                let done = run_suite_journaled(&suite, &store, &opts).unwrap();
+                let view = RerunView {
+                    cache: done.cache,
+                    skipped: done.skipped,
+                    executed: done.executed,
+                    manifest: std::fs::read(store.manifest_path(&digest)).unwrap(),
+                    cache_stats: std::fs::read(store.cache_stats_path(&digest)).ok(),
+                    // Executed cells trace their engine events from the
+                    // runner threads; only the lab-scope cache verdicts
+                    // are ordered across thread counts.
+                    trace: std::fs::read_to_string(&trace)
+                        .unwrap()
+                        .lines()
+                        .filter(|l| l.contains("\"kind\":\"cache\""))
+                        .flat_map(|l| l.bytes().chain([b'\n']))
+                        .collect(),
+                    store: file_map(&store.suite_dir(&digest)),
+                };
+                let _ = std::fs::remove_dir_all(store.root());
+                let _ = std::fs::remove_file(&trace);
+                (threads, view)
+            })
+            .collect();
+        let (_, first) = &views[0];
+        assert_eq!(first.executed, vec![2, 7], "{mode}");
+        assert_eq!(first.cache.misses, 1, "{mode}");
+        assert_eq!(first.cache.rejected, 1, "{mode}");
+        assert_eq!(first.cache_stats.is_some(), cached, "{mode}");
+        assert_eq!(first.trace.iter().filter(|&&b| b == b'\n').count(), 13);
+        assert_eq!(first.store, reference, "{mode}: the rerun heals the store");
+        for (threads, view) in &views[1..] {
+            assert_eq!(view, first, "{mode} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn two_thread_cached_runs_reject_and_heal_every_corruption_class() {
+    let suite = farm_suite();
+    let digest = suite.digest();
+    let store = temp_store("corrupt-classes");
+    run_suite_journaled(&suite, &store, &serial()).unwrap();
+    let before = file_map(&store.suite_dir(&digest));
+    let manifest = store.read_manifest(&digest).unwrap();
+    let path_of = |i: usize| store.record_path(&digest, &manifest.cells[i].digest);
+    let original = std::fs::read(path_of(1)).unwrap();
+
+    let corrupt = |class: &str| match class {
+        "flipped byte" => {
+            let mut bytes = original.clone();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+            std::fs::write(path_of(1), bytes).unwrap();
+        }
+        "re-indented valid JSON" => {
+            let text = String::from_utf8(original.clone()).unwrap();
+            let compact = apex_sim::Json::parse(&text).unwrap().render();
+            std::fs::write(path_of(1), compact).unwrap();
+        }
+        "record copied to another cell's address" => {
+            std::fs::copy(path_of(0), path_of(1)).unwrap();
+        }
+        "manifest checksum mismatch" => {
+            let mut pinned = manifest.clone();
+            pinned.cells[1].checksum = Some("0000000000000000".into());
+            store.write_manifest(&pinned).unwrap();
+        }
+        other => unreachable!("{other}"),
+    };
+    let cached = JournalOpts {
+        cached: true,
+        threads: Some(2),
+        ..JournalOpts::default()
+    };
+    for class in [
+        "flipped byte",
+        "re-indented valid JSON",
+        "record copied to another cell's address",
+        "manifest checksum mismatch",
+    ] {
+        corrupt(class);
+        assert_ne!(file_map(&store.suite_dir(&digest)), before, "{class}");
+        let done = run_suite_journaled(&suite, &store, &cached).unwrap();
+        assert_eq!(done.cache.rejected, 1, "{class}: {}", done.cache.summary());
+        assert_eq!(done.cache.misses, 0, "{class}");
+        assert_eq!(done.executed, vec![1], "{class}");
+        assert_eq!(
+            file_map(&store.suite_dir(&digest)),
+            before,
+            "{class}: healed"
+        );
+    }
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// Every manifest row's checksum is the digest of its record file.
+fn assert_manifest_pins_disk_bytes(store: &LabStore, digest: &str, when: &str) {
+    let manifest = store.read_manifest(digest).unwrap();
+    for row in &manifest.cells {
+        let bytes = std::fs::read(store.record_path(digest, &row.digest)).unwrap();
+        assert_eq!(
+            row.checksum.as_deref(),
+            Some(digest_hex(&bytes).as_str()),
+            "{when}: cell {}",
+            row.index
+        );
+    }
+}
+
+#[test]
+fn manifest_checksums_pin_the_bytes_on_disk_after_every_run_kind() {
+    let suite = farm_suite();
+    let digest = suite.digest();
+    let store = temp_store("pins");
+    let two = |resume, cached| JournalOpts {
+        resume,
+        cached,
+        threads: Some(2),
+        ..JournalOpts::default()
+    };
+    run_suite_journaled(&suite, &store, &two(false, false)).unwrap();
+    assert_manifest_pins_disk_bytes(&store, &digest, "cold");
+    run_suite_journaled(&suite, &store, &two(false, true)).unwrap();
+    assert_manifest_pins_disk_bytes(&store, &digest, "cached");
+    let manifest = store.read_manifest(&digest).unwrap();
+    std::fs::remove_file(store.record_path(&digest, &manifest.cells[3].digest)).unwrap();
+    let resumed = run_suite_journaled(&suite, &store, &two(true, false)).unwrap();
+    assert_eq!(resumed.executed, vec![3]);
+    assert_manifest_pins_disk_bytes(&store, &digest, "resumed");
+
+    let farm = temp_store("pins-farm");
+    let queue = FarmQueue::new(temp_dir("queue-pins"));
+    queue.submit(&suite).unwrap();
+    let report = run_worker(&queue, &farm, &worker("pinner")).unwrap();
+    assert_eq!(report.finalized, vec![digest.clone()]);
+    assert_manifest_pins_disk_bytes(&farm, &digest, "farm finalize");
+    assert_eq!(
+        file_map(&farm.suite_dir(&digest)),
+        file_map(&store.suite_dir(&digest))
+    );
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(farm.root());
     let _ = std::fs::remove_dir_all(queue.root());
 }

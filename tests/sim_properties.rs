@@ -1,6 +1,8 @@
 //! Property tests for the A-PRAM simulator's invariants.
 
-use apex::sim::{AdversarySpec, Group, IdlePolicy, MachineBuilder, ProcId, ScheduleKind, Stamped};
+use apex::sim::{
+    AdversarySpec, Group, IdlePolicy, Json, MachineBuilder, ProcId, ScheduleKind, Stamped,
+};
 use proptest::prelude::*;
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::mock::StepRng;
@@ -240,5 +242,93 @@ fn partition_batches_equal_the_per_tick_stream() {
             got.extend_from_slice(&buf[..take]);
         }
         assert_eq!(got, serial, "seed {seed}");
+    }
+}
+
+/// The JSON codec's string escaping, one character at a time: the
+/// reference the run-copying renderer must reproduce byte for byte.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// String pieces that stress the escaper's run boundaries: quotes,
+/// backslashes, every control character, multi-byte UTF-8 of each
+/// width, and long unescaped ASCII runs.
+fn any_string_piece() -> impl Strategy<Value = String> {
+    let char_piece = |lo: u32, hi: u32| {
+        (lo..hi).prop_map(|c| char::from_u32(c).expect("scalar value").to_string())
+    };
+    prop_oneof![
+        Just("\"".to_string()),
+        Just("\\".to_string()),
+        Just("\\u0041/".to_string()),
+        char_piece(0, 0x20),
+        char_piece(0x20, 0x80),
+        char_piece(0x80, 0x800),
+        char_piece(0x800, 0xD800),
+        char_piece(0xE000, 0x1_0000),
+        char_piece(0x1_0000, 0x11_0000),
+        (0usize..300, 0x20u32..0x7f)
+            .prop_map(|(len, c)| { char::from_u32(c).expect("ascii").to_string().repeat(len) }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Any string survives render → parse exactly, compact and pretty,
+    /// as a value and as an object key, and renders to exactly what the
+    /// per-character reference escaper writes.
+    #[test]
+    fn json_strings_round_trip_and_match_the_reference_escaper(
+        pieces in proptest::collection::vec(any_string_piece(), 0usize..24),
+    ) {
+        let s: String = pieces.concat();
+        let value = Json::Str(s.clone());
+        prop_assert_eq!(value.render(), reference_escape(&s));
+        prop_assert_eq!(Json::parse(&value.render()).unwrap(), value.clone());
+        let doc = Json::Obj(vec![(s.clone(), Json::Arr(vec![value.clone(), Json::Null]))]);
+        prop_assert_eq!(Json::parse(&doc.render()).unwrap(), doc.clone());
+        prop_assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
+    }
+}
+
+#[test]
+fn committed_json_documents_reparse_to_their_own_bytes() {
+    // Every committed JSON document the workspace reads survives parse
+    // → render; the canonical ones (records, corpus reproducers, golden
+    // documents) re-render to exactly their committed bytes.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for dir in ["corpus", "tests/golden", "suites"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let value = Json::parse(&text).unwrap();
+            assert_eq!(
+                Json::parse(&value.render()).unwrap(),
+                value,
+                "{}",
+                path.display()
+            );
+            if dir != "suites" {
+                assert_eq!(value.render_pretty(), text, "{}", path.display());
+            }
+        }
     }
 }
