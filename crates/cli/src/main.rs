@@ -45,8 +45,8 @@ fn usage() -> ! {
         "usage: apex <suite|drift|lab|farm|obs|run|adversary|synth> …\n\
          \n\
          suite run    SUITE.json [--store DIR] [--resume] [--cached] [--faults PLAN.json]\n\
-         \x20            [--threads N] [--exec serial|ticketed [--workers N]] [--timing]\n\
-         \x20            [--engine tree|bytecode] [--trace [FILE]] [--metrics] [--profile]\n\
+         \x20            [--threads N] [--timing] [--engine tree|bytecode]\n\
+         \x20            [--trace [FILE]] [--metrics] [--profile]\n\
          \x20            [--bench OUT.json] [--bench-baseline BASE.json [--bench-tolerance F]]\n\
          \x20                                        journaled expand-execute-record\n\
          suite expand SUITE.json                 print the deterministic cell list\n\
@@ -59,8 +59,8 @@ fn usage() -> ! {
          farm submit  SUITE.json [--queue DIR]   enqueue a suite for the workers\n\
          farm worker  [--queue DIR] [--store DIR] [--threads N] [--worker ID]\n\
          \x20            [--shard N] [--ttl N] [--faults PLAN.json]\n\
-         \x20            [--exec serial|ticketed [--workers N]] [--engine tree|bytecode]\n\
-         \x20            [--trace [FILE]] [--metrics] [--profile]  drain the queue\n\
+         \x20            [--engine tree|bytecode] [--trace [FILE]] [--metrics] [--profile]\n\
+         \x20                                        drain the queue\n\
          farm status  [--queue DIR] [--store DIR] [--metrics]  per-suite queue progress\n\
          farm query   SCENARIO.json [--queue DIR] [--store DIR] [--json]\n\
          \x20                                        answer from cache, or enqueue\n\
@@ -69,8 +69,7 @@ fn usage() -> ! {
          obs metrics  [FILE] [--merge DIR]… [--result-plane] [--json]\n\
          \x20                                        render / fleet-merge metrics documents\n\
          run          SCENARIO.json [--emit OUT.json] [--json]\n\
-         \x20            [--exec serial|ticketed [--workers N]] [--engine tree|bytecode]\n\
-         \x20            [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
+         \x20            [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
          \x20                                        execute one scenario\n\
          adversary validate SPEC.json --n N      parse + validate a composed adversary\n\
          adversary describe SPEC.json --n N [--seed S]  compile and describe it\n\
@@ -235,7 +234,6 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 resume: args.has("resume"),
                 cached: args.has("cached"),
                 threads: args.get("threads").and_then(|v| v.parse().ok()),
-                exec: cli::exec_override(&args),
                 engine: cli::engine_override(&args),
                 timing: benching || args.has("timing"),
                 obs: cli::obs_override(&args, || trace_default),
@@ -266,15 +264,11 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 println!("  {}", done.cache.summary());
             }
             if opts.timing {
-                let exec = opts.exec.unwrap_or_default();
                 println!(
-                    "  {exec}: {} ticks in {} ms — {} ticks/s ({} windows, {} conflicts, {} serial reruns)",
+                    "  {} ticks in {} ms — {} ticks/s",
                     done.executed_ticks,
                     done.elapsed_ms,
-                    done.ticks_per_sec(),
-                    done.exec.windows,
-                    done.exec.conflicts,
-                    done.exec.serial_reruns
+                    done.ticks_per_sec()
                 );
             }
             if let Some(trace) = &opts.obs.trace {
@@ -319,11 +313,8 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
 /// gate it against a committed `--bench-baseline` document. Telemetry
 /// only — nothing here touches the store's result bytes.
 fn bench_gate(args: &Args, suite: &Suite, done: &apex_lab::JournaledRun) -> Result<(), String> {
-    let exec = cli::exec_override(args).unwrap_or_default();
     let engine = cli::engine_override(args).unwrap_or_default();
     let fresh = BenchRun {
-        exec: exec.label().into(),
-        workers: exec.workers() as u64,
         engine: engine.label().into(),
         host_cores: std::thread::available_parallelism()
             .map(|n| n.get() as u64)
@@ -339,20 +330,9 @@ fn bench_gate(args: &Args, suite: &Suite, done: &apex_lab::JournaledRun) -> Resu
         None => BenchDoc::new(&suite.name, &digest),
     };
     doc.upsert(fresh);
-    if exec.workers() > 1 {
-        if let Some(speedup) = doc.speedup(exec.workers() as u64) {
-            println!(
-                "  speedup over serial at {} workers: {speedup:.2}x",
-                exec.workers()
-            );
-        }
-    }
-    let engine_speedup = doc.engine_speedup(exec.label(), exec.workers() as u64);
+    let engine_speedup = doc.engine_speedup();
     if let Some(speedup) = engine_speedup {
-        println!(
-            "  bytecode speedup over tree on the {} engine: {speedup:.2}x",
-            exec.label()
-        );
+        println!("  bytecode speedup over tree: {speedup:.2}x");
     }
     if let Some(min) = args.get("bench-min-engine-speedup") {
         let min: f64 = min
@@ -370,14 +350,7 @@ fn bench_gate(args: &Args, suite: &Suite, done: &apex_lab::JournaledRun) -> Resu
                     "engine speedup gate failed: bytecode is {s:.2}x tree, need {min:.2}x"
                 ))
             }
-            None => {
-                return Err(format!(
-                    "engine speedup gate needs both a tree and a bytecode row for exec {} \
-                     (workers {}) in the bench doc",
-                    exec.label(),
-                    exec.workers()
-                ))
-            }
+            None => return Err("engine speedup gate needs a tree and a bytecode row".into()),
         }
     }
     if let Some(path) = args.get("bench") {
@@ -628,7 +601,6 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
             opts.shard_cells = args.num("shard", opts.shard_cells);
             opts.ttl = args.num("ttl", opts.ttl);
             opts.threads = args.get("threads").and_then(|v| v.parse().ok());
-            opts.exec = cli::exec_override(&args);
             opts.engine = cli::engine_override(&args);
             // Bare `--trace` lands beside the store, one file per worker
             // (a trace describes one worker's run, not the fleet's).
@@ -900,9 +872,8 @@ fn one_line(s: &apex_scenario::Scenario) -> String {
             s.seed
         ),
         Mode::Kernel { kernel, n, ticks } => format!(
-            "kernel {}(n={n}) ticks={ticks} exec={} seed={}",
+            "kernel {}(n={n}) ticks={ticks} seed={}",
             kernel.label(),
-            s.engine.exec,
             s.seed
         ),
     }

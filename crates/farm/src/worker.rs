@@ -31,7 +31,7 @@ use apex_lab::{
     CELL_PANIC_MARKER,
 };
 use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ExecMode, ExecStats, RunOutcome};
+use apex_scenario::{CacheStats, ReportRecord, RunOutcome};
 use apex_sim::Json;
 
 use crate::queue::FarmQueue;
@@ -55,14 +55,9 @@ pub struct WorkerOpts {
     /// [`resolve_threads`]: `APEX_RUNNER_THREADS`, else all cores —
     /// identical semantics to `apex suite run --threads`).
     pub threads: Option<usize>,
-    /// Runtime execution-engine override for kernel-mode cells (intra-run
-    /// parallelism *inside* each cell, orthogonal to `threads`' across-cell
-    /// fan-out). Never changes a result byte, so workers running different
-    /// engines still converge to one record set.
-    pub exec: Option<ExecMode>,
-    /// Runtime interpreter-engine override for scheme-mode cells. Like
-    /// `exec`, it never changes a result byte, so workers running
-    /// different interpreters still converge to one record set.
+    /// Runtime interpreter-engine override for scheme-mode cells. It
+    /// never changes a result byte, so workers running different
+    /// interpreters still converge to one record set.
     pub engine: Option<apex_scenario::ProgramEngine>,
     /// Telemetry plane ([`apex_obs::ObsOpts`]). With `metrics` on, the
     /// worker writes a per-suite `metrics-<worker>.json` shard beside the
@@ -80,7 +75,6 @@ impl Default for WorkerOpts {
             shard_cells: DEFAULT_SHARD_CELLS,
             ttl: DEFAULT_TTL,
             threads: None,
-            exec: None,
             engine: None,
             obs: ObsOpts::off(),
         }
@@ -208,7 +202,6 @@ struct CellTally {
     ok: bool,
     status: &'static str,
     ticks: Option<u64>,
-    stats: ExecStats,
 }
 
 /// Fold the tallies of every cell this worker owns into its metrics
@@ -254,10 +247,6 @@ fn attribute_result_plane(
             metrics.add("ticks.executed", ticks);
             metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
         }
-        metrics.add("exec.windows", t.stats.windows);
-        metrics.add("exec.conflicts", t.stats.conflicts);
-        metrics.add("exec.serial_reruns", t.stats.serial_reruns);
-        metrics.gauge_max("exec.workers", t.stats.workers as u64);
     }
 }
 
@@ -275,16 +264,12 @@ fn drain_suite_inner(
     // nothing still merges to the exact key set a serial run writes (a
     // missing counter and a zero counter must be the same document).
     metrics.gauge_max("cells.total", cells.len() as u64);
-    metrics.gauge_max("exec.workers", 0);
     for key in [
         "cells.executed",
         "cells.ok",
         "cells.exhausted",
         "cells.poisoned",
         "ticks.executed",
-        "exec.windows",
-        "exec.conflicts",
-        "exec.serial_reruns",
         "farm.executions",
     ] {
         metrics.add(key, 0);
@@ -436,9 +421,9 @@ fn drain_suite_inner(
                     .map_err(jerr)?;
             }
             let outcomes = run_trials_threaded(&pending, threads.min(pending.len()), |cell| {
-                run_one(store.faults(), opts.exec, opts.engine, obs, cell)
+                run_one(store.faults(), opts.engine, obs, cell)
             });
-            for (cell, (outcome, stats)) in pending.iter().zip(&outcomes) {
+            for (cell, outcome) in pending.iter().zip(&outcomes) {
                 commit_cell(store, digest, &journal, cell, outcome, &opts.worker, report)?;
                 report.executed += 1;
                 // Raw work including duplicate executions of stolen
@@ -450,7 +435,6 @@ fn drain_suite_inner(
                         ok: outcome.ok(),
                         status: outcome.status(),
                         ticks: outcome.record().map(|r| r.report.ticks()),
-                        stats: *stats,
                     },
                 );
             }
@@ -512,21 +496,19 @@ fn drain_suite_inner(
 }
 
 /// Run one cell (honoring an installed fault injector's panic plan and
-/// the worker's execution-engine override).
+/// the worker's interpreter-engine override).
 fn run_one(
     faults: Option<&std::sync::Arc<FaultInjector>>,
-    exec: Option<ExecMode>,
     engine: Option<apex_scenario::ProgramEngine>,
     obs: &Obs,
     cell: &Cell,
-) -> (RunOutcome, ExecStats) {
+) -> RunOutcome {
     if faults.is_some_and(|f| f.panics_cell(cell.index)) {
-        let outcome = RunOutcome::capture_with(&cell.scenario, |_| {
+        RunOutcome::capture_with(&cell.scenario, |_| {
             panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
-        });
-        (outcome, ExecStats::default())
+        })
     } else {
-        RunOutcome::capture_engines_obs(&cell.scenario, exec, engine, obs)
+        RunOutcome::capture_with(&cell.scenario, |s| ReportRecord::run_with(s, engine, obs))
     }
 }
 

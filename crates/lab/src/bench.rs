@@ -1,148 +1,22 @@
-//! Throughput telemetry: the per-run `exec-stats.json` sidecar and the
-//! committed `BENCH_*.json` scaling artifact.
+//! The committed `BENCH_*.json` throughput artifact.
 //!
-//! Both documents are **telemetry, not store identity**: they carry
-//! wall-clock timings, so they are excluded from every byte-identity
-//! comparison (`diff -r --exclude=exec-stats.json`), ignored by drift
-//! checking, and never hashed into a content address. The *result* bytes
-//! of a run stay engine- and timing-independent; these files record how
-//! fast those bytes were produced.
-//!
-//! * [`ExecStatsDoc`] — one journaled run's execution telemetry: which
-//!   engine ran, how many cells executed vs were answered from cache,
-//!   the terminal-state tally, and the measured ticks/s. Written by
-//!   `apex suite run` when timing is requested, next to `manifest.json`.
-//! * [`BenchDoc`] — a keyed collection of such measurements for one
-//!   suite, accumulated across `apex suite run --bench` invocations
-//!   (one row per `(exec, workers)` point). The committed artifact is
-//!   what CI gates regressions against via [`BenchDoc::gate_against`].
+//! [`BenchDoc`] is a keyed collection of throughput measurements for one
+//! suite, accumulated across `apex suite run --bench` invocations (one
+//! row per interpreter engine). It is **telemetry, not store identity**:
+//! it carries wall-clock timings, so it is never hashed into a content
+//! address. The committed artifact is what CI gates regressions against
+//! via [`BenchDoc::gate_against`].
 
 use std::path::Path;
 
 use apex_sim::{Json, JsonError};
 
-/// Integer ticks-per-second from a tick count and an elapsed duration
-/// (saturating; a sub-millisecond run is counted as one millisecond so
-/// the rate stays finite).
-fn rate(ticks: u64, elapsed_ms: u64) -> u64 {
-    ticks.saturating_mul(1000) / elapsed_ms.max(1)
-}
-
-/// One journaled run's execution telemetry (`exec-stats.json`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecStatsDoc {
-    /// Engine label: `serial` or `ticketed`.
-    pub exec: String,
-    /// Worker count the engine ran with (1 for serial).
-    pub workers: u64,
-    /// Total cells in the suite expansion.
-    pub cells: u64,
-    /// Cells actually executed this run.
-    pub executed: u64,
-    /// Cells answered from verified store bytes.
-    pub skipped: u64,
-    /// Cells that exhausted their tick budget.
-    pub exhausted: u64,
-    /// Cells that poisoned (panicked).
-    pub poisoned: u64,
-    /// Machine ticks consumed by the executed cells.
-    pub ticks: u64,
-    /// Wall-clock milliseconds spent executing them.
-    pub elapsed_ms: u64,
-    /// Throughput over the executed cells, in ticks per second.
-    pub ticks_per_sec: u64,
-}
-
-impl ExecStatsDoc {
-    /// Assemble a document, deriving `ticks_per_sec` from the tick count
-    /// and elapsed time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        exec: impl Into<String>,
-        workers: u64,
-        cells: u64,
-        executed: u64,
-        skipped: u64,
-        exhausted: u64,
-        poisoned: u64,
-        ticks: u64,
-        elapsed_ms: u64,
-    ) -> Self {
-        ExecStatsDoc {
-            exec: exec.into(),
-            workers,
-            cells,
-            executed,
-            skipped,
-            exhausted,
-            poisoned,
-            ticks,
-            elapsed_ms,
-            ticks_per_sec: rate(ticks, elapsed_ms),
-        }
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} (workers {}): {} ticks in {} ms — {} ticks/s",
-            self.exec, self.workers, self.ticks, self.elapsed_ms, self.ticks_per_sec
-        )
-    }
-
-    /// Serialize (canonical field order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("exec".into(), Json::Str(self.exec.clone())),
-            ("workers".into(), Json::UInt(self.workers)),
-            ("cells".into(), Json::UInt(self.cells)),
-            ("executed".into(), Json::UInt(self.executed)),
-            ("skipped".into(), Json::UInt(self.skipped)),
-            ("exhausted".into(), Json::UInt(self.exhausted)),
-            ("poisoned".into(), Json::UInt(self.poisoned)),
-            ("ticks".into(), Json::UInt(self.ticks)),
-            ("elapsed_ms".into(), Json::UInt(self.elapsed_ms)),
-            ("ticks_per_sec".into(), Json::UInt(self.ticks_per_sec)),
-        ])
-    }
-
-    /// Deserialize an exec-stats document.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ExecStatsDoc {
-            exec: v.get("exec")?.as_str()?.to_string(),
-            workers: v.get("workers")?.as_u64()?,
-            cells: v.get("cells")?.as_u64()?,
-            executed: v.get("executed")?.as_u64()?,
-            skipped: v.get("skipped")?.as_u64()?,
-            exhausted: v.get("exhausted")?.as_u64()?,
-            poisoned: v.get("poisoned")?.as_u64()?,
-            ticks: v.get("ticks")?.as_u64()?,
-            elapsed_ms: v.get("elapsed_ms")?.as_u64()?,
-            ticks_per_sec: v.get("ticks_per_sec")?.as_u64()?,
-        })
-    }
-
-    /// Parse a complete document.
-    pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// The canonical pretty-printed document.
-    pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
-    }
-}
-
-/// One measured point of a [`BenchDoc`]: how fast one
-/// `(exec, workers, engine)` configuration pushed the suite's ticks.
+/// One measured point of a [`BenchDoc`]: how fast one interpreter
+/// engine pushed the suite's ticks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchRun {
-    /// Execution-engine label: `serial` or `ticketed`.
-    pub exec: String,
-    /// Worker count (1 for serial).
-    pub workers: u64,
-    /// Scheme-interpreter engine label: `tree` or `bytecode` (kernel
-    /// suites always measure `tree` — the knob does not apply to them).
+    /// Scheme-interpreter engine label, `tree` or `bytecode` — the row's
+    /// key.
     pub engine: String,
     /// Logical cores available on the measuring host (0 when unknown) —
     /// machine context for reading cross-host artifacts, never part of
@@ -159,15 +33,8 @@ pub struct BenchRun {
 }
 
 impl BenchRun {
-    /// The row's identity within a [`BenchDoc`].
-    fn key(&self) -> (&str, u64, &str) {
-        (self.exec.as_str(), self.workers, self.engine.as_str())
-    }
-
     fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("exec".into(), Json::Str(self.exec.clone())),
-            ("workers".into(), Json::UInt(self.workers)),
             ("engine".into(), Json::Str(self.engine.clone())),
             ("host_cores".into(), Json::UInt(self.host_cores)),
             ("cells".into(), Json::UInt(self.cells)),
@@ -178,11 +45,11 @@ impl BenchRun {
     }
 
     fn from_json(v: &Json) -> Result<Self, JsonError> {
+        // Older artifacts also carry `exec`/`workers` keys, always
+        // `serial`/1 on engine rows; they are ignored. Pre-engine
+        // artifacts measured the tree walker on an unrecorded host, so
+        // both fields default accordingly.
         Ok(BenchRun {
-            exec: v.get("exec")?.as_str()?.to_string(),
-            workers: v.get("workers")?.as_u64()?,
-            // Pre-engine artifacts measured the tree walker on an
-            // unrecorded host; default both fields accordingly.
             engine: match v.get_opt("engine") {
                 None | Some(Json::Null) => "tree".to_string(),
                 Some(e) => e.as_str()?.to_string(),
@@ -199,16 +66,15 @@ impl BenchRun {
     }
 }
 
-/// A suite's scaling measurements, keyed by `(exec, workers, engine)` —
-/// the committed `BENCH_*.json` artifact and the CI regression baseline.
+/// A suite's throughput measurements, keyed by engine — the committed
+/// `BENCH_*.json` artifact and the CI regression baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchDoc {
     /// Suite name.
     pub suite: String,
     /// Digest of the canonical suite document the measurements ran.
     pub digest: String,
-    /// Measurements, sorted by `(exec, workers, engine)` for a canonical
-    /// form.
+    /// Measurements, sorted by engine for a canonical form.
     pub runs: Vec<BenchRun>,
 }
 
@@ -222,59 +88,43 @@ impl BenchDoc {
         }
     }
 
-    /// Insert or replace the measurement for `run`'s
-    /// `(exec, workers, engine)` key, keeping the run list sorted.
+    /// Insert or replace the measurement for `run`'s engine, keeping the
+    /// run list sorted.
     pub fn upsert(&mut self, run: BenchRun) {
-        self.runs.retain(|r| r.key() != run.key());
+        self.runs.retain(|r| r.engine != run.engine);
         self.runs.push(run);
-        self.runs
-            .sort_by(|a, b| (&a.exec, a.workers, &a.engine).cmp(&(&b.exec, b.workers, &b.engine)));
+        self.runs.sort_by(|a, b| a.engine.cmp(&b.engine));
     }
 
-    /// The measurement at one `(exec, workers, engine)` key.
-    pub fn run(&self, exec: &str, workers: u64, engine: &str) -> Option<&BenchRun> {
-        self.runs
-            .iter()
-            .find(|r| r.key() == (exec, workers, engine))
+    /// The measurement for one engine.
+    pub fn run(&self, engine: &str) -> Option<&BenchRun> {
+        self.runs.iter().find(|r| r.engine == engine)
     }
 
-    /// The ticketed-over-serial speedup at `workers` (tree interpreter
-    /// rows), when the artifact holds both measurements (what the
-    /// kernel-scaling acceptance gate reads).
-    pub fn speedup(&self, workers: u64) -> Option<f64> {
-        let serial = self.run("serial", 1, "tree")?;
-        let ticketed = self.run("ticketed", workers, "tree")?;
-        (serial.ticks_per_sec > 0)
-            .then(|| ticketed.ticks_per_sec as f64 / serial.ticks_per_sec as f64)
-    }
-
-    /// The bytecode-over-tree interpreter speedup at one
-    /// `(exec, workers)` point, when the artifact holds both engine rows
-    /// (what the program-compile acceptance gate reads).
-    pub fn engine_speedup(&self, exec: &str, workers: u64) -> Option<f64> {
-        let tree = self.run(exec, workers, "tree")?;
-        let bytecode = self.run(exec, workers, "bytecode")?;
+    /// The bytecode-over-tree interpreter speedup, when the artifact
+    /// holds both engine rows (what the program-compile acceptance gate
+    /// reads).
+    pub fn engine_speedup(&self) -> Option<f64> {
+        let tree = self.run("tree")?;
+        let bytecode = self.run("bytecode")?;
         (tree.ticks_per_sec > 0).then(|| bytecode.ticks_per_sec as f64 / tree.ticks_per_sec as f64)
     }
 
     /// Gate this (fresh) artifact against a committed `baseline`: every
-    /// `(exec, workers)` key present in both must be within `tolerance`
-    /// of the baseline throughput (`fresh >= baseline * (1 - tolerance)`).
-    /// Keys only one side measured are ignored — machines differ; the
-    /// gate is about regressions on comparable points.
+    /// engine present in both must be within `tolerance` of the baseline
+    /// throughput (`fresh >= baseline * (1 - tolerance)`). Engines only
+    /// one side measured are ignored — machines differ; the gate is about
+    /// regressions on comparable points.
     pub fn gate_against(&self, baseline: &BenchDoc, tolerance: f64) -> Result<(), String> {
         let mut failures = Vec::new();
         for fresh in &self.runs {
-            let Some(base) = baseline.run(&fresh.exec, fresh.workers, &fresh.engine) else {
+            let Some(base) = baseline.run(&fresh.engine) else {
                 continue;
             };
             let floor = base.ticks_per_sec as f64 * (1.0 - tolerance);
             if (fresh.ticks_per_sec as f64) < floor {
                 failures.push(format!(
-                    "{} (workers {}, engine {}): {} ticks/s < floor {:.0} (baseline {} - {:.0}% \
-                     tolerance)",
-                    fresh.exec,
-                    fresh.workers,
+                    "engine {}: {} ticks/s < floor {:.0} (baseline {} - {:.0}% tolerance)",
                     fresh.engine,
                     fresh.ticks_per_sec,
                     floor,
@@ -356,14 +206,8 @@ impl BenchDoc {
 mod tests {
     use super::*;
 
-    fn measured(exec: &str, workers: u64, ticks_per_sec: u64) -> BenchRun {
-        engine_measured(exec, workers, "tree", ticks_per_sec)
-    }
-
-    fn engine_measured(exec: &str, workers: u64, engine: &str, ticks_per_sec: u64) -> BenchRun {
+    fn measured(engine: &str, ticks_per_sec: u64) -> BenchRun {
         BenchRun {
-            exec: exec.into(),
-            workers,
             engine: engine.into(),
             host_cores: 8,
             cells: 4,
@@ -374,71 +218,51 @@ mod tests {
     }
 
     #[test]
-    fn exec_stats_round_trip_and_rate() {
-        let doc = ExecStatsDoc::new("ticketed", 4, 10, 8, 2, 1, 0, 2_000_000, 500);
-        assert_eq!(doc.ticks_per_sec, 4_000_000);
-        let back = ExecStatsDoc::parse(&doc.render_pretty()).unwrap();
-        assert_eq!(back, doc);
-        assert!(doc.summary().contains("ticks/s"));
-        // Sub-millisecond runs stay finite.
-        assert_eq!(
-            ExecStatsDoc::new("serial", 1, 1, 1, 0, 0, 0, 100, 0).ticks_per_sec,
-            100_000
-        );
-    }
-
-    #[test]
-    fn bench_doc_upserts_by_key_and_round_trips() {
-        let mut doc = BenchDoc::new("bench-kernel", "feedfacefeedface");
-        doc.upsert(measured("ticketed", 4, 100));
-        doc.upsert(measured("serial", 1, 50));
-        doc.upsert(measured("ticketed", 4, 120)); // replaces, not appends
-        assert_eq!(doc.runs.len(), 2);
-        assert_eq!(doc.runs[0].exec, "serial"); // sorted by key
-        assert_eq!(doc.run("ticketed", 4, "tree").unwrap().ticks_per_sec, 120);
-        assert_eq!(doc.speedup(4), Some(2.4));
-        let back = BenchDoc::parse(&doc.render_pretty()).unwrap();
-        assert_eq!(back, doc);
-    }
-
-    #[test]
-    fn engine_rows_key_separately_and_legacy_artifacts_parse() {
+    fn bench_doc_upserts_by_engine_and_round_trips() {
         let mut doc = BenchDoc::new("bench-program", "feedfacefeedface");
-        doc.upsert(engine_measured("serial", 1, "tree", 100));
-        doc.upsert(engine_measured("serial", 1, "bytecode", 250));
-        // Same (exec, workers), different engine — two distinct rows.
+        doc.upsert(measured("tree", 100));
+        doc.upsert(measured("bytecode", 200));
+        doc.upsert(measured("bytecode", 250)); // replaces, not appends
         assert_eq!(doc.runs.len(), 2);
-        assert_eq!(doc.runs[0].engine, "bytecode"); // sorted within key
-        assert_eq!(doc.engine_speedup("serial", 1), Some(2.5));
+        assert_eq!(doc.runs[0].engine, "bytecode"); // sorted by key
+        assert_eq!(doc.run("bytecode").unwrap().ticks_per_sec, 250);
+        assert_eq!(doc.engine_speedup(), Some(2.5));
         let back = BenchDoc::parse(&doc.render_pretty()).unwrap();
         assert_eq!(back, doc);
+    }
 
+    #[test]
+    fn legacy_artifacts_parse() {
         // Rows written before the engine fields existed parse as tree
-        // measurements on an unrecorded host.
+        // measurements on an unrecorded host; `exec`/`workers` keys are
+        // ignored.
         let legacy = r#"{"suite":"b","digest":"d","runs":[{"exec":"serial",
             "workers":1,"cells":2,"ticks":10,"elapsed_ms":1,"ticks_per_sec":10000}]}"#;
         let doc = BenchDoc::parse(legacy).unwrap();
         assert_eq!(doc.runs[0].engine, "tree");
         assert_eq!(doc.runs[0].host_cores, 0);
-        assert!(doc.run("serial", 1, "tree").is_some());
+        assert!(doc.run("tree").is_some());
+        assert_eq!(doc.engine_speedup(), None);
     }
 
     #[test]
     fn gate_flags_regressions_within_tolerance() {
         let mut baseline = BenchDoc::new("b", "d");
-        baseline.upsert(measured("serial", 1, 1000));
-        baseline.upsert(measured("ticketed", 4, 4000));
+        baseline.upsert(measured("tree", 1000));
+        baseline.upsert(measured("bytecode", 4000));
 
         let mut fresh = BenchDoc::new("b", "d");
-        fresh.upsert(measured("serial", 1, 900));
-        fresh.upsert(measured("ticketed", 4, 2300));
-        fresh.upsert(measured("ticketed", 8, 1)); // no baseline key — ignored
-                                                  // serial within 40%, ticketed is not (2300 < 4000 * 0.6).
+        fresh.upsert(measured("tree", 900));
+        fresh.upsert(measured("bytecode", 2300));
+        // tree is within 40%, bytecode is not (2300 < 4000 * 0.6).
         let err = fresh.gate_against(&baseline, 0.4).unwrap_err();
-        assert!(err.contains("ticketed"), "{err}");
-        assert!(!err.contains("serial (workers 1)"), "{err}");
-        // A looser gate passes.
+        assert!(err.contains("engine bytecode"), "{err}");
+        assert!(!err.contains("engine tree"), "{err}");
+        // A looser gate passes, and a baseline without the row is ignored.
         fresh.gate_against(&baseline, 0.5).unwrap();
+        fresh
+            .gate_against(&BenchDoc::new("b", "d"), 0.0)
+            .expect("no comparable rows");
     }
 
     #[test]
@@ -447,7 +271,7 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("BENCH_test.json");
         let mut doc = BenchDoc::new("b", "aaaaaaaaaaaaaaaa");
-        doc.upsert(measured("serial", 1, 10));
+        doc.upsert(measured("tree", 10));
         doc.save(&path).unwrap();
         let loaded = BenchDoc::load_or_new(&path, "b", "aaaaaaaaaaaaaaaa").unwrap();
         assert_eq!(loaded, doc);

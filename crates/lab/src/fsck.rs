@@ -301,7 +301,13 @@ fn scan_suite(
         // `metrics.json` plus the farm's per-worker `metrics-<id>.json`
         // shards all carry the same unified document.
         let is_metrics = name.starts_with("metrics") && name.ends_with(".json");
-        if name == CACHE_STATS_FILE || name == EXEC_STATS_FILE || is_metrics {
+        if name == EXEC_STATS_FILE {
+            // Telemetry written only by older binaries: counted, never
+            // parsed, never quarantined.
+            report.files_checked += 1;
+            continue;
+        }
+        if name == CACHE_STATS_FILE || is_metrics {
             // Telemetry sidecars: not store identity, but they should
             // still parse — an unreadable one is debris worth
             // quarantining.
@@ -311,10 +317,6 @@ fn scan_suite(
                 .and_then(|text| {
                     if name == CACHE_STATS_FILE {
                         CacheStats::parse(&text)
-                            .map(drop)
-                            .map_err(|e| e.to_string())
-                    } else if name == EXEC_STATS_FILE {
-                        crate::bench::ExecStatsDoc::parse(&text)
                             .map(drop)
                             .map_err(|e| e.to_string())
                     } else {

@@ -36,7 +36,7 @@ pub mod runner;
 pub mod store;
 pub mod suite;
 
-pub use bench::{BenchDoc, BenchRun, ExecStatsDoc};
+pub use bench::{BenchDoc, BenchRun};
 pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, WriteDirective,

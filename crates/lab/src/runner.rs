@@ -7,9 +7,7 @@ use std::sync::mpsc;
 
 use apex_bench::runner::{resolve_threads, run_trials, run_trials_threaded};
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ExecMode, ExecStats, ReportRecord, RunOutcome};
-
-use crate::bench::ExecStatsDoc;
+use apex_scenario::{CacheStats, ReportRecord, RunOutcome};
 
 use crate::fault::CELL_PANIC_MARKER;
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
@@ -167,20 +165,15 @@ pub struct JournalOpts {
     /// cores; `Some(1)` forces the serial path, whose journal line order
     /// is fully deterministic).
     pub threads: Option<usize>,
-    /// Runtime execution-engine override for kernel-mode cells
-    /// ([`Scenario::run_with_exec`](apex_scenario::Scenario::run_with_exec)):
+    /// Runtime interpreter-engine override for scheme-mode cells
+    /// ([`Scenario::run_with`](apex_scenario::Scenario::run_with)):
     /// `None` honors each scenario's own engine knob. The override never
     /// changes a result byte — records, manifests, and digests are
     /// engine-independent.
-    pub exec: Option<ExecMode>,
-    /// Runtime interpreter-engine override for scheme-mode cells
-    /// ([`Scenario::run_with_engines`](apex_scenario::Scenario::run_with_engines)):
-    /// `None` honors each scenario's own engine knob. Like `exec`, the
-    /// override never changes a result byte.
     pub engine: Option<apex_scenario::ProgramEngine>,
-    /// Measure wall-clock execution time and write the `exec-stats.json`
-    /// sidecar (timing telemetry, excluded from byte-identity checks).
-    /// Also folds `time.*` entries into the unified metrics document.
+    /// Fold the run's wall-clock execution time (`time.elapsed_ms`) into
+    /// the unified metrics document (timing telemetry, excluded from
+    /// byte-identity checks).
     pub timing: bool,
     /// Telemetry plane: trace sink and metrics collection
     /// ([`apex_obs::ObsOpts`]). Telemetry observes the run and never
@@ -210,10 +203,6 @@ pub struct JournaledRun {
     /// Machine ticks consumed by the cells executed this run (skipped
     /// cells contribute nothing — their ticks were paid for earlier).
     pub executed_ticks: u64,
-    /// Aggregated execution-engine stats over the executed cells
-    /// (worker count is a max, window/conflict/rerun counts are sums —
-    /// see [`ExecStats::absorb`]). All trivial for serial-engine runs.
-    pub exec: ExecStats,
     /// The unified metrics document written to `metrics.json` (empty
     /// unless the run requested metrics, caching, or timing).
     pub metrics: Metrics,
@@ -283,7 +272,7 @@ pub fn run_suite_journaled(
 
     // Telemetry plane. The trace sink (when requested) sees lab-scope
     // cell-lifecycle events from this coordinator thread plus engine-
-    // and exec-scope events from inside each cell's run; with
+    // and compile-scope events from inside each cell's run; with
     // `threads = 1` the full interleaving is deterministic (the golden
     // canonical-trace test pins it). Nothing here touches a result byte.
     let obs = opts
@@ -352,14 +341,15 @@ pub fn run_suite_journaled(
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
     let executed = pending.clone();
 
-    let run_one = |cell: &Cell| -> (RunOutcome, ExecStats) {
+    let run_one = |cell: &Cell| -> RunOutcome {
         if store.faults().is_some_and(|f| f.panics_cell(cell.index)) {
-            let outcome = RunOutcome::capture_with(&cell.scenario, |_| {
+            RunOutcome::capture_with(&cell.scenario, |_| {
                 panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
-            });
-            (outcome, ExecStats::default())
+            })
         } else {
-            RunOutcome::capture_engines_obs(&cell.scenario, opts.exec, opts.engine, &obs)
+            RunOutcome::capture_with(&cell.scenario, |s| {
+                ReportRecord::run_with(s, opts.engine, &obs)
+            })
         }
     };
 
@@ -418,7 +408,6 @@ pub fn run_suite_journaled(
             }
         };
 
-    let mut exec = ExecStats::default();
     let threads = resolve_threads(opts.threads).min(pending.len().max(1));
     let started_at = std::time::Instant::now();
     if threads <= 1 {
@@ -431,8 +420,7 @@ pub fn run_suite_journaled(
                 })
                 .map_err(jerr)?;
             obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
-            let (outcome, stats) = run_one(cell);
-            exec.absorb(&stats);
+            let outcome = run_one(cell);
             checksums[i] = commit(&journal, cell, &outcome)?;
             slots[i] = Some(outcome);
         }
@@ -442,12 +430,11 @@ pub fn run_suite_journaled(
         #[allow(clippy::large_enum_variant)]
         enum Msg {
             Claimed(usize),
-            Done(usize, RunOutcome, ExecStats),
+            Done(usize, RunOutcome),
         }
         let stop = AtomicBool::new(false);
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<Msg>();
-        let exec = &mut exec;
         let result: Result<(), String> = std::thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();
@@ -462,8 +449,8 @@ pub fn run_suite_journaled(
                     if tx.send(Msg::Claimed(i)).is_err() {
                         break;
                     }
-                    let (outcome, stats) = run_one(&cells[i]);
-                    if tx.send(Msg::Done(i, outcome, stats)).is_err() {
+                    let outcome = run_one(&cells[i]);
+                    if tx.send(Msg::Done(i, outcome)).is_err() {
                         break;
                     }
                 });
@@ -485,8 +472,7 @@ pub fn run_suite_journaled(
                         .map(|()| {
                             obs.emit("lab", "claim", cells[i].index as u64, &cells[i].digest, &[]);
                         }),
-                    Msg::Done(i, outcome, stats) => {
-                        exec.absorb(&stats);
+                    Msg::Done(i, outcome) => {
                         commit(&journal, &cells[i], &outcome).map(|checksum| {
                             checksums[i] = checksum;
                             slots[i] = Some(outcome);
@@ -530,37 +516,7 @@ pub fn run_suite_journaled(
             .write_cache_stats(&suite_digest, &cache)
             .map_err(|e| format!("cache-stats write failed: {e}"))?;
     }
-    if opts.timing {
-        // Same rules as cache-stats: timing telemetry beside the
-        // manifest, excluded from every byte-identity comparison.
-        // Deprecated alias: the same tallies also land in metrics.json.
-        let mode = opts.exec.unwrap_or_default();
-        let count =
-            |status: &str| run.outcomes.iter().filter(|o| o.status() == status).count() as u64;
-        let stats = ExecStatsDoc::new(
-            mode.label(),
-            mode.workers() as u64,
-            cells.len() as u64,
-            executed.len() as u64,
-            skipped.len() as u64,
-            count("exhausted"),
-            count("poisoned"),
-            executed_ticks,
-            elapsed_ms,
-        );
-        store
-            .write_exec_stats(&suite_digest, &stats)
-            .map_err(|e| format!("exec-stats write failed: {e}"))?;
-    }
-    let metrics = build_run_metrics(
-        opts,
-        &run,
-        &cache,
-        &executed,
-        executed_ticks,
-        exec,
-        elapsed_ms,
-    );
+    let metrics = build_run_metrics(opts, &run, &cache, &executed, executed_ticks, elapsed_ms);
     if !metrics.is_empty() {
         store
             .write_metrics(&suite_digest, &metrics)
@@ -581,7 +537,6 @@ pub fn run_suite_journaled(
         cache,
         elapsed_ms,
         executed_ticks,
-        exec,
         metrics,
     })
 }
@@ -591,7 +546,7 @@ pub fn run_suite_journaled(
 /// no telemetry was requested.
 ///
 /// Namespaces, chosen so [`Metrics::result_plane`] captures exactly the
-/// partition-independent slice: `cells.*` / `ticks.*` / `exec.*`
+/// partition-independent slice: `cells.*` / `ticks.*`
 /// counters and `cells.*` gauges are deterministic functions of *what*
 /// was computed (a fleet drain's merge equals the serial run's
 /// aggregate), while `cache.*` coordination tallies and wall-clock
@@ -602,7 +557,6 @@ fn build_run_metrics(
     cache: &CacheStats,
     executed: &[usize],
     executed_ticks: u64,
-    exec: ExecStats,
     elapsed_ms: u64,
 ) -> Metrics {
     let mut metrics = Metrics::new();
@@ -618,10 +572,6 @@ fn build_run_metrics(
     metrics.add("cells.exhausted", count(&|o| o.status() == "exhausted"));
     metrics.add("cells.poisoned", count(&|o| o.status() == "poisoned"));
     metrics.add("ticks.executed", executed_ticks);
-    metrics.add("exec.windows", exec.windows);
-    metrics.add("exec.conflicts", exec.conflicts);
-    metrics.add("exec.serial_reruns", exec.serial_reruns);
-    metrics.gauge_max("exec.workers", exec.workers as u64);
     metrics.add("cache.hits", cache.hits);
     metrics.add("cache.misses", cache.misses);
     metrics.add("cache.rejected", cache.rejected);

@@ -55,16 +55,11 @@ pub const MAX_WRITE_ATTEMPTS: u32 = 4;
 /// --exclude=cache-stats.json`), and drift checking ignores it.
 pub const CACHE_STATS_FILE: &str = "cache-stats.json";
 
-/// File name of the per-suite execution-stats sidecar (engine, worker
-/// count, measured ticks/s). Like `cache-stats.json`, this is per-run
-/// telemetry carrying wall-clock timings — never store identity:
-/// byte-identity comparisons exclude it (`diff -r
-/// --exclude=exec-stats.json`) and drift checking ignores it.
-///
-/// **Deprecated alias**: runs that request timing now also write the
-/// unified [`apex_obs::METRICS_FILE`] sidecar, which subsumes this
-/// document; this filename is kept for one release so existing tooling
-/// keeps parsing.
+/// File name of a per-suite timing sidecar that older binaries wrote.
+/// Nothing writes it any more (timing lands in the unified
+/// [`apex_obs::METRICS_FILE`]), but stores may still hold a copy: fsck
+/// counts it as telemetry without parsing it, record listing skips it,
+/// and byte-identity comparisons exclude it.
 pub const EXEC_STATS_FILE: &str = "exec-stats.json";
 
 /// Every telemetry sidecar filename a suite directory may carry — the
@@ -367,33 +362,6 @@ impl LabStore {
         CacheStats::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// The exec-stats sidecar path of one suite.
-    pub fn exec_stats_path(&self, suite_digest: &str) -> PathBuf {
-        self.suite_dir(suite_digest).join(EXEC_STATS_FILE)
-    }
-
-    /// Write one suite's exec-stats sidecar durably.
-    pub fn write_exec_stats(
-        &self,
-        suite_digest: &str,
-        stats: &crate::bench::ExecStatsDoc,
-    ) -> std::io::Result<()> {
-        std::fs::create_dir_all(self.suite_dir(suite_digest))?;
-        self.write_text(&self.exec_stats_path(suite_digest), &stats.render_pretty())
-    }
-
-    /// Load one suite's exec-stats sidecar (absent for runs that never
-    /// requested timing).
-    pub fn read_exec_stats(
-        &self,
-        suite_digest: &str,
-    ) -> Result<crate::bench::ExecStatsDoc, String> {
-        let path = self.exec_stats_path(suite_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        crate::bench::ExecStatsDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
     /// The unified metrics sidecar path of one suite
     /// ([`apex_obs::METRICS_FILE`]).
     pub fn metrics_path(&self, suite_digest: &str) -> PathBuf {
@@ -657,9 +625,10 @@ impl LabStore {
     }
 
     /// The record digests present under one suite directory (sorted; the
-    /// manifest and the cache-stats/exec-stats/metrics sidecars are
-    /// excluded, and the `.jsonl` journal and trace never match). Used to
-    /// detect records a suite no longer names.
+    /// manifest, the metrics and cache-stats sidecars, and a legacy
+    /// [`EXEC_STATS_FILE`] are excluded, and the `.jsonl` journal and
+    /// trace never match). Used to detect records a suite no longer
+    /// names.
     pub fn record_digests(&self, suite_digest: &str) -> Result<Vec<String>, String> {
         let dir = self.suite_dir(suite_digest);
         let mut out = Vec::new();

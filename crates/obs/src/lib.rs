@@ -10,7 +10,7 @@
 //! * [`Metrics`] / [`MetricsHub`] — typed counters, gauges, and
 //!   fixed-bucket histograms with deterministic merge rules, written
 //!   to a `metrics.json` sidecar that subsumes the older
-//!   `exec-stats.json` / `cache-stats.json` documents;
+//!   `cache-stats.json` document;
 //! * [`Stopwatch`] — wall-clock profiling confined to the telemetry
 //!   plane and feature-gated (`wallclock`, on by default); with the
 //!   feature off every reading is 0;

@@ -18,7 +18,7 @@
 //! machines and reruns.
 //!
 //! Naming convention (one dot-separated namespace per plane):
-//! `cells.*`, `ticks.*`, `exec.*` are the **result plane** — functions
+//! `cells.*` and `ticks.*` are the **result plane** — functions
 //! of *what was computed*, identical however the fleet was arranged;
 //! `cache.*`, `journal.*`, `lease.*`, `store.*` are the
 //! **coordination plane** — functions of *how* this particular run got
@@ -200,14 +200,12 @@ impl Metrics {
         Ok(())
     }
 
-    /// The result-plane subset (`cells.*`, `ticks.*`, `exec.*`
-    /// counters and `cells.*` gauges): the instruments that are
+    /// The result-plane subset (`cells.*` and `ticks.*` counters and
+    /// `cells.*` gauges): the instruments that are
     /// functions of *what was computed*, so a merged fleet document
     /// equals a serial run's document on exactly this subset.
     pub fn result_plane(&self) -> Metrics {
-        let keep = |name: &str| {
-            name.starts_with("cells.") || name.starts_with("ticks.") || name.starts_with("exec.")
-        };
+        let keep = |name: &str| name.starts_with("cells.") || name.starts_with("ticks.");
         Metrics {
             counters: self
                 .counters
@@ -447,7 +445,7 @@ mod tests {
     fn result_plane_keeps_only_deterministic_namespaces() {
         let mut m = Metrics::new();
         m.add("cells.executed", 4);
-        m.add("exec.conflicts", 1);
+        m.add("cells.ok", 1);
         m.add("ticks.executed", 999);
         m.add("cache.hits", 7);
         m.add("journal.appends", 12);
@@ -456,7 +454,7 @@ mod tests {
         m.observe("cell.ticks", 10);
         let rp = m.result_plane();
         assert_eq!(rp.counter("cells.executed"), 4);
-        assert_eq!(rp.counter("exec.conflicts"), 1);
+        assert_eq!(rp.counter("cells.ok"), 1);
         assert_eq!(rp.counter("cache.hits"), 0);
         assert_eq!(rp.gauge("cells.total"), Some(4));
         assert_eq!(rp.gauge("time.elapsed_ms"), None);

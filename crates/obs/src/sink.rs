@@ -33,8 +33,7 @@ struct ObsInner {
 /// All clones share one sink and one sequence counter. Sequence
 /// numbers (and therefore file line order) are deterministic whenever
 /// a single thread emits — which the instrumentation guarantees at
-/// `--threads 1` (and the exec engine guarantees always, by emitting
-/// only from its committer thread).
+/// `--threads 1`.
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<ObsInner>>,
@@ -196,8 +195,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("t.jsonl");
         let obs = Obs::to_file(&path).unwrap();
-        obs.emit("exec", "window", 0, "", &[("len", 4096)]);
-        obs.emit("exec", "commit", 0, "", &[("writes", 12)]);
+        obs.emit("lab", "claim", 0, "", &[]);
+        obs.emit("lab", "commit", 0, "", &[("ok", 1)]);
         obs.flush();
         let log = read_trace(&path).unwrap();
         assert_eq!(log.events.len(), 2);

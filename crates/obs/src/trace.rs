@@ -30,8 +30,8 @@ fn jerr(msg: impl Into<String>) -> JsonError {
 /// One operation-indexed telemetry event.
 ///
 /// The payload is deliberately flat and numeric: a `scope` naming the
-/// emitting plane (`engine`, `exec`, `lab`, `farm`), a `kind` naming
-/// the seam (`block`, `window`, `commit`, `cache-hit`, …), the
+/// emitting plane (`engine`, `compile`, `lab`, `farm`), a `kind` naming
+/// the seam (`block`, `lower`, `commit`, `cache-hit`, …), the
 /// operation-clock index `op`, an optional string `label` (cell
 /// digest, adversary description, worker name), and sorted named
 /// `u64` fields. Everything a span needs is expressible as fields
@@ -40,12 +40,12 @@ fn jerr(msg: impl Into<String>) -> JsonError {
 pub struct TraceEvent {
     /// Emission sequence number within one sink (0-based).
     pub seq: u64,
-    /// Emitting plane: `engine`, `exec`, `lab`, or `farm`.
+    /// Emitting plane: `engine`, `compile`, `lab`, or `farm`.
     pub scope: String,
-    /// Event kind within the scope (e.g. `block`, `conflict`).
+    /// Event kind within the scope (e.g. `block`, `claim`).
     pub kind: String,
-    /// Operation-clock index: ticks for `engine`, window index for
-    /// `exec`, cell index for `lab`, journal length for `farm`.
+    /// Operation-clock index: ticks for `engine`, 0 for `compile`, cell
+    /// index for `lab`, journal length for `farm`.
     pub op: u64,
     /// Free-form context label; empty means none (omitted on the wire).
     pub label: String,
@@ -182,7 +182,14 @@ mod tests {
     fn sample() -> Vec<TraceEvent> {
         vec![
             TraceEvent::new(0, "lab", "claim", 0, "aaaaaaaaaaaaaaaa", &[]),
-            TraceEvent::new(1, "exec", "window", 3, "", &[("len", 4096), ("groups", 4)]),
+            TraceEvent::new(
+                1,
+                "compile",
+                "lower",
+                0,
+                "coin-sum",
+                &[("slots", 64), ("steps", 4)],
+            ),
             TraceEvent::new(2, "engine", "block", 512, "uniform", &[("ticks", 256)]),
         ]
     }
@@ -198,7 +205,7 @@ mod tests {
 
     #[test]
     fn fields_are_canonically_sorted() {
-        let e = TraceEvent::new(0, "exec", "window", 1, "", &[("z", 1), ("a", 2)]);
+        let e = TraceEvent::new(0, "engine", "block", 1, "", &[("z", 1), ("a", 2)]);
         assert_eq!(e.fields[0].0, "a");
         assert_eq!(e.field("z"), Some(1));
         assert_eq!(e.field("missing"), None);
@@ -227,7 +234,7 @@ mod tests {
         assert!(log.torn_tail);
         assert_eq!(log.events, sample());
 
-        let broken = text.replacen("\"kind\":\"window\"", "\"kind\":\"wi", 1);
+        let broken = text.replacen("\"kind\":\"lower\"", "\"kind\":\"lo", 1);
         std::fs::write(&path, broken).unwrap();
         assert!(read_trace(&path).unwrap_err().contains("corrupt trace"));
         let _ = std::fs::remove_dir_all(&dir);

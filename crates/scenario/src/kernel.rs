@@ -1,21 +1,21 @@
-//! Stress kernels: explicit state-machine processors both engines drive.
+//! Kernel mode: synthetic stress kernels driven for a fixed number of
+//! schedule ticks.
 //!
-//! A [`KernelProc`] is plain data (its private RNG included), so it can
-//! be owned by a speculative worker thread, snapshotted at a window
-//! boundary, rolled back, and shipped to the committer for a serial
-//! re-run — none of which the protocol crates' `!Send` futures allow.
-//! The *serial* engine drives the very same state machine through a thin
-//! async adapter over [`apex_sim::Ctx`] (one awaited `Ctx` op per
-//! [`KernelOp`]), so the two engines share one transition function and
-//! bit-parity is structural.
+//! Each processor is an explicit state machine ([`KernelProc`]) behind a
+//! thin async adapter over [`apex_sim::Ctx`]: one awaited operation per
+//! [`KernelOp`]. Private RNG draws and state transitions are free (they
+//! model local register computation bundled with the op); exactly the
+//! returned op costs the one atomic step, matching the A-PRAM accounting.
 //!
-//! Private RNG draws and state transitions are free (they model local
-//! register computation bundled with the op); exactly the returned
-//! [`KernelOp`] costs the one atomic step, matching the A-PRAM
-//! accounting.
+//! The [`KernelReport`] pins the run with two order-sensitive checksums:
+//! a fold over every store in machine order (address, value, stamp,
+//! writer and global work stamp) and a fold over the final memory image.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use apex_sim::rng::{proc_rng, splitmix64};
-use apex_sim::{Json, JsonError, Stamped};
+use apex_sim::{AdversarySpec, Json, JsonError, MachineBuilder, Stamped};
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
@@ -31,32 +31,27 @@ fn jerr(msg: impl Into<String>) -> JsonError {
 ///
 /// Memory layout (all kernels): the shared region occupies addresses
 /// `[0, shared_len)`, followed by `slots` private cells per processor in
-/// pid order — so contiguous pid ranges (the ticketed engine's worker
-/// groups) touch contiguous memory.
+/// pid order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelSpec {
     /// Every processor works entirely inside its own `slots`-cell
-    /// region: reads, read-modify-write-style update sequences, and
-    /// computes, mixed by its private RNG. Conflict-free by layout — the
-    /// ticketed engine's scaling star.
+    /// region: reads, writes and computes, mixed by its private RNG.
+    /// No two processors share a cell.
     PrivateSlots {
         /// Private cells per processor (≥ 1).
         slots: usize,
     },
     /// Mostly [`KernelSpec::PrivateSlots`], but every `period`-th step a
     /// processor touches shared cell 0 — processor 0 writes a fresh
-    /// stamped word, everyone else reads it. Occasional cross-group
-    /// races exercise the committer's revalidation fallback at a low,
-    /// tunable rate.
+    /// stamped word, everyone else reads it.
     SharedPulse {
         /// Private cells per processor (≥ 1).
         slots: usize,
-        /// Steps between shared-cell pulses (≥ 1; larger = rarer races).
+        /// Steps between shared-cell pulses (≥ 1).
         period: u64,
     },
     /// Every step is a random read or write inside one shared
-    /// `region`-cell arena — a deliberate conflict storm that forces the
-    /// serial-re-execution path to carry most windows.
+    /// `region`-cell arena.
     Storm {
         /// Shared arena size in cells (≥ 1).
         region: usize,
@@ -74,7 +69,7 @@ impl KernelSpec {
     }
 
     /// Cells of shared (cross-processor) memory at the base of the map.
-    pub fn shared_len(&self) -> usize {
+    fn shared_len(&self) -> usize {
         match self {
             KernelSpec::PrivateSlots { .. } => 0,
             KernelSpec::SharedPulse { .. } => 1,
@@ -83,7 +78,7 @@ impl KernelSpec {
     }
 
     /// Private cells per processor.
-    pub fn slots(&self) -> usize {
+    fn slots(&self) -> usize {
         match self {
             KernelSpec::PrivateSlots { slots } | KernelSpec::SharedPulse { slots, .. } => *slots,
             KernelSpec::Storm { .. } => 0,
@@ -91,7 +86,7 @@ impl KernelSpec {
     }
 
     /// Total shared-memory size for an `n`-processor run.
-    pub fn mem_size(&self, n: usize) -> usize {
+    fn mem_size(&self, n: usize) -> usize {
         self.shared_len() + n * self.slots()
     }
 
@@ -152,9 +147,162 @@ impl KernelSpec {
     }
 }
 
+/// The observable outcome of a kernel run: the exact model-level
+/// operation counts plus checksums of the ordered write log (work stamps
+/// included) and the final memory image.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KernelReport {
+    /// Kernel family label ([`KernelSpec::label`]).
+    pub kernel: String,
+    /// Number of processors.
+    pub n: usize,
+    /// Schedule ticks executed.
+    pub ticks: u64,
+    /// Total work units (equals `ticks`: kernels never complete, so every
+    /// tick is live work).
+    pub work: u64,
+    /// Model-level shared-memory loads performed.
+    pub reads: u64,
+    /// Model-level shared-memory stores performed.
+    pub writes: u64,
+    /// Checksum of the final memory image.
+    pub mem_checksum: u64,
+    /// Checksum chain over every store in machine order.
+    pub events_checksum: u64,
+}
+
+impl KernelReport {
+    /// Internal consistency: every tick accounted, op counts bounded by
+    /// ticks.
+    pub fn ok(&self) -> bool {
+        self.work == self.ticks && self.reads + self.writes <= self.ticks
+    }
+
+    /// One-line human summary.
+    pub fn summary(&self) -> String {
+        format!(
+            "kernel {} n={} ticks={} reads={} writes={} mem={:016x} events={:016x}",
+            self.kernel,
+            self.n,
+            self.ticks,
+            self.reads,
+            self.writes,
+            self.mem_checksum,
+            self.events_checksum
+        )
+    }
+
+    /// Serialize (canonical field order).
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("kernel".into(), Json::Str(self.kernel.clone())),
+            ("n".into(), Json::UInt(self.n as u64)),
+            ("ticks".into(), Json::UInt(self.ticks)),
+            ("work".into(), Json::UInt(self.work)),
+            ("reads".into(), Json::UInt(self.reads)),
+            ("writes".into(), Json::UInt(self.writes)),
+            ("mem_checksum".into(), Json::UInt(self.mem_checksum)),
+            ("events_checksum".into(), Json::UInt(self.events_checksum)),
+        ])
+    }
+
+    /// Deserialize the output of [`KernelReport::to_json`].
+    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(KernelReport {
+            kernel: v.get("kernel")?.as_str()?.to_string(),
+            n: v.get("n")?.as_usize()?,
+            ticks: v.get("ticks")?.as_u64()?,
+            work: v.get("work")?.as_u64()?,
+            reads: v.get("reads")?.as_u64()?,
+            writes: v.get("writes")?.as_u64()?,
+            mem_checksum: v.get("mem_checksum")?.as_u64()?,
+            events_checksum: v.get("events_checksum")?.as_u64()?,
+        })
+    }
+}
+
+/// Execute `ticks` schedule ticks of an `n`-processor kernel run.
+/// `batch` overrides the machine's schedule-prefetch block size (`None` =
+/// [`apex_sim::DEFAULT_BATCH`]).
+pub(crate) fn run(
+    spec: KernelSpec,
+    n: usize,
+    ticks: u64,
+    schedule: &AdversarySpec,
+    seed: u64,
+    batch: Option<usize>,
+) -> KernelReport {
+    spec.validate().expect("invalid kernel spec");
+    let mut b = MachineBuilder::new(n, spec.mem_size(n))
+        .seed(seed)
+        .schedule_spec(schedule);
+    if let Some(batch) = batch {
+        b = b.batch(batch);
+    }
+    let mut m = b.build(|ctx| async move {
+        let mut k = KernelProc::new(spec, ctx.id().0, seed);
+        loop {
+            match k.next_op() {
+                KernelOp::Read(a) => {
+                    let w = ctx.read(a).await;
+                    k.feed(w);
+                }
+                KernelOp::Write(a, w) => ctx.write(a, w).await,
+                KernelOp::Compute => ctx.compute().await,
+            }
+        }
+    });
+    let events = Rc::new(Cell::new(0u64));
+    let ev = events.clone();
+    m.add_write_hook(Box::new(move |e| {
+        ev.set(fold_write(ev.get(), e.work, e.addr, e.new, e.writer.0));
+    }));
+    m.run_ticks(ticks);
+    let rep = m.report();
+    debug_assert_eq!(rep.ticks, ticks);
+    KernelReport {
+        kernel: spec.label().to_string(),
+        n,
+        ticks: rep.ticks,
+        work: rep.total_work,
+        reads: rep.mem_reads,
+        writes: rep.mem_writes,
+        mem_checksum: fold_image(&m.mem_image()),
+        events_checksum: events.get(),
+    }
+}
+
+const WRITE_SALT: u64 = 0xEC5E_11A7_0F01_D5E1;
+const IMAGE_SALT: u64 = 0x11A6_E5A1_D16E_57ED;
+
+/// Fold one observed write into the running events checksum. `work` is
+/// the global work counter at the instant of the store (for a kernel
+/// run, the 1-based global tick position of the write).
+fn fold_write(acc: u64, work: u64, addr: usize, word: Stamped, writer: usize) -> u64 {
+    let mut s = acc
+        ^ WRITE_SALT
+        ^ work
+        ^ (addr as u64).rotate_left(17)
+        ^ word.value.rotate_left(29)
+        ^ word.stamp.rotate_left(43)
+        ^ (writer as u64).rotate_left(53);
+    splitmix64(&mut s)
+}
+
+/// Checksum a full memory image (value and stamp of every cell, in
+/// address order).
+fn fold_image(image: &[Stamped]) -> u64 {
+    let mut acc = IMAGE_SALT;
+    for w in image {
+        let mut s = acc ^ w.value ^ w.stamp.rotate_left(31);
+        acc = splitmix64(&mut s);
+    }
+    acc
+}
+
 /// One atomic step a kernel processor wants to perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelOp {
+enum KernelOp {
     /// Read the cell; the observed word must be handed back through
     /// [`KernelProc::feed`] before the next [`KernelProc::next_op`].
     Read(usize),
@@ -164,29 +312,23 @@ pub enum KernelOp {
     Compute,
 }
 
-/// One processor of a kernel run, as an explicit, owned state machine.
-///
-/// `Clone` snapshots the full state (RNG included) — the ticketed
-/// engine's window-boundary checkpoint. `Send` (plain data, no shared
-/// interior) is what lets speculative workers own their group.
-#[derive(Clone, Debug)]
-pub struct KernelProc {
+/// One processor of a kernel run.
+#[derive(Debug)]
+struct KernelProc {
     spec: KernelSpec,
     pid: usize,
     rng: SmallRng,
     /// Steps taken so far (stamps written words).
     iter: u64,
     /// Running fold of every observed read — written values mix it in,
-    /// so one stale speculative read would poison every later write and
-    /// the events checksum with it.
+    /// so one different read changes every later write.
     acc: u64,
 }
 
 impl KernelProc {
-    /// Processor `pid` of an `n`-processor kernel run seeded by
-    /// `master`. Uses the processor-private RNG stream
-    /// ([`apex_sim::rng::proc_rng`]) — the kernel *is* the protocol.
-    pub fn new(spec: KernelSpec, pid: usize, master: u64) -> Self {
+    /// Processor `pid` of a kernel run seeded by `master`, on the
+    /// processor-private RNG stream ([`apex_sim::rng::proc_rng`]).
+    fn new(spec: KernelSpec, pid: usize, master: u64) -> Self {
         KernelProc {
             spec,
             pid,
@@ -194,11 +336,6 @@ impl KernelProc {
             iter: 0,
             acc: 0,
         }
-    }
-
-    /// This processor's id.
-    pub fn pid(&self) -> usize {
-        self.pid
     }
 
     /// First address of this processor's private region.
@@ -225,9 +362,8 @@ impl KernelProc {
         }
     }
 
-    /// Decide the next atomic step. Free (models local computation); the
-    /// returned op is what costs the tick.
-    pub fn next_op(&mut self) -> KernelOp {
+    /// Decide the next atomic step.
+    fn next_op(&mut self) -> KernelOp {
         self.iter += 1;
         match self.spec {
             KernelSpec::PrivateSlots { slots } => self.local_op(slots),
@@ -256,7 +392,7 @@ impl KernelProc {
     }
 
     /// Hand back the word observed by the last [`KernelOp::Read`].
-    pub fn feed(&mut self, w: Stamped) {
+    fn feed(&mut self, w: Stamped) {
         let mut s = self.acc ^ w.value ^ w.stamp.rotate_left(17);
         self.acc = splitmix64(&mut s);
     }
@@ -265,6 +401,11 @@ impl KernelProc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_sim::ScheduleKind;
+
+    fn uniform() -> AdversarySpec {
+        ScheduleKind::Uniform.lower()
+    }
 
     #[test]
     fn specs_round_trip_and_validate() {
@@ -291,28 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn procs_are_deterministic_and_cloneable() {
-        let spec = KernelSpec::Storm { region: 16 };
-        let mut a = KernelProc::new(spec, 3, 42);
-        let mut b = KernelProc::new(spec, 3, 42);
-        for i in 0..256 {
-            let (oa, ob) = (a.next_op(), b.next_op());
-            assert_eq!(oa, ob, "step {i}");
-            if let KernelOp::Read(_) = oa {
-                let w = Stamped::new(i, i);
-                a.feed(w);
-                b.feed(w);
-            }
-        }
-        // A clone is a full state snapshot: both replicas continue
-        // identically.
-        let mut c = a.clone();
-        for _ in 0..64 {
-            assert_eq!(a.next_op(), c.next_op());
-        }
-    }
-
-    #[test]
     fn fed_reads_change_future_writes() {
         let spec = KernelSpec::PrivateSlots { slots: 1 };
         let mut a = KernelProc::new(spec, 0, 7);
@@ -322,7 +441,7 @@ mod tests {
             assert_eq!(oa, ob);
             if let KernelOp::Read(_) = oa {
                 a.feed(Stamped::new(1, 1));
-                b.feed(Stamped::new(2, 1)); // a stale read...
+                b.feed(Stamped::new(2, 1)); // a different read...
                 break;
             }
         }
@@ -337,7 +456,7 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(diverged, "stale reads must poison later writes");
+        assert!(diverged, "observed reads must feed later writes");
     }
 
     #[test]
@@ -369,5 +488,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn runs_are_reproducible_and_consistent() {
+        let spec = KernelSpec::SharedPulse {
+            slots: 2,
+            period: 8,
+        };
+        let a = run(spec, 4, 2000, &uniform(), 11, None);
+        let b = run(spec, 4, 2000, &uniform(), 11, None);
+        assert_eq!(a, b);
+        assert!(a.ok());
+        assert_eq!(a.work, 2000);
+        assert!(a.writes > 0);
+        assert_eq!(KernelReport::from_json(&a.to_json()).unwrap(), a);
+    }
+
+    #[test]
+    fn ok_rejects_inconsistent_counts() {
+        let mut r = KernelReport {
+            kernel: KernelSpec::PrivateSlots { slots: 1 }.label().to_string(),
+            n: 2,
+            ticks: 10,
+            work: 10,
+            reads: 6,
+            writes: 5,
+            mem_checksum: 0,
+            events_checksum: 0,
+        };
+        assert!(!r.ok());
+        r.writes = 4;
+        assert!(r.ok());
+        r.work = 9;
+        assert!(!r.ok());
+    }
+
+    #[test]
+    fn batch_size_is_invisible() {
+        let spec = KernelSpec::Storm { region: 16 };
+        let reference = run(spec, 6, 1500, &uniform(), 3, Some(1));
+        for batch in [7, 64, 1024] {
+            let r = run(spec, 6, 1500, &uniform(), 3, Some(batch));
+            assert_eq!(r, reference, "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let spec = KernelSpec::PrivateSlots { slots: 3 };
+        let a = run(spec, 4, 1000, &uniform(), 1, None);
+        let b = run(spec, 4, 1000, &uniform(), 2, None);
+        assert_ne!(a.events_checksum, b.events_checksum);
     }
 }

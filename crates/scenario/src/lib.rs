@@ -30,17 +30,15 @@
 #![warn(rust_2018_idioms)]
 
 mod cache;
+mod kernel;
 mod outcome;
 mod program;
 mod record;
 mod report;
 mod scenario;
 
-// Re-exported so downstream crates (lab, farm, cli, synth) can name the
-// execution engine and kernel families without depending on apex-exec.
-pub use apex_exec::{ExecMode, ExecStats, KernelReport, KernelSpec};
-
 pub use cache::{CacheStats, CACHE_FORMAT_MAJOR, CACHE_FORMAT_MINOR};
+pub use kernel::{KernelReport, KernelSpec};
 pub use outcome::{RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{
     op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramSource,
@@ -260,7 +258,7 @@ mod tests {
         // via the document knob and via the runtime override.
         let tree = base.run();
         let via_knob = bc.run();
-        let via_override = base.run_with_engines(None, Some(ProgramEngine::Bytecode));
+        let via_override = base.run_with(Some(ProgramEngine::Bytecode), &apex_obs::Obs::disabled());
         assert_eq!(tree.to_json().render(), via_knob.to_json().render());
         assert_eq!(tree.to_json().render(), via_override.to_json().render());
     }

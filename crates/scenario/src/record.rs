@@ -13,7 +13,7 @@ use std::path::Path;
 use apex_sim::{Json, JsonError};
 
 use crate::report::ScenarioReport;
-use crate::scenario::Scenario;
+use crate::scenario::{ProgramEngine, Scenario};
 
 /// Major version of the record JSON format (major mismatches are
 /// rejected on read).
@@ -97,50 +97,16 @@ impl ReportRecord {
         Self::from_run(scenario.clone(), scenario.run())
     }
 
-    /// [`ReportRecord::run`] with a runtime execution-engine override
-    /// (see [`Scenario::run_with_exec`]): the recorded scenario and its
-    /// digest are exactly as written — only the engine that produced the
-    /// (engine-independent) report differs.
-    pub fn run_exec(scenario: &Scenario, exec: Option<apex_exec::ExecMode>) -> Self {
-        Self::run_engines(scenario, exec, None)
-    }
-
-    /// [`ReportRecord::run`] with runtime overrides for *both* engine
-    /// knobs — `exec` for kernel scenarios, `engine` for scheme scenarios
-    /// (see [`Scenario::run_with_engines`]). The recorded scenario and its
-    /// digest are exactly as written either way.
-    pub fn run_engines(
+    /// [`ReportRecord::run`] through [`Scenario::run_with`]: a runtime
+    /// interpreter override and a trace sink. The recorded scenario and
+    /// its digest are exactly as written, and the record bytes equal
+    /// [`ReportRecord::run`]'s.
+    pub fn run_with(
         scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        engine: Option<crate::scenario::ProgramEngine>,
+        engine: Option<ProgramEngine>,
+        obs: &apex_obs::Obs,
     ) -> Self {
-        Self::from_run(scenario.clone(), scenario.run_with_engines(exec, engine))
-    }
-
-    /// [`ReportRecord::run_exec`] with telemetry: routes trace events to
-    /// `obs` and returns the engine's [`apex_exec::ExecStats`] alongside
-    /// the record. The record bytes are identical to [`run_exec`]'s —
-    /// telemetry observes the run, it never participates in it.
-    ///
-    /// [`run_exec`]: ReportRecord::run_exec
-    pub fn run_exec_obs(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        obs: &apex_obs::Obs,
-    ) -> (Self, apex_exec::ExecStats) {
-        Self::run_engines_obs(scenario, exec, None, obs)
-    }
-
-    /// [`ReportRecord::run_engines`] with telemetry (the fully general
-    /// recorder; every other `run*` constructor delegates here).
-    pub fn run_engines_obs(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        engine: Option<crate::scenario::ProgramEngine>,
-        obs: &apex_obs::Obs,
-    ) -> (Self, apex_exec::ExecStats) {
-        let (report, stats) = scenario.run_with_engines_obs(exec, engine, obs);
-        (Self::from_run(scenario.clone(), report), stats)
+        Self::from_run(scenario.clone(), scenario.run_with(engine, obs))
     }
 
     /// The record's content address: [`Scenario::digest`] of its scenario.

@@ -8,11 +8,11 @@
 
 use apex_core::validate::{BinCheck, TheoremOneReport};
 use apex_core::PhaseOutcome;
-use apex_exec::KernelReport;
 use apex_pram::refexec::ReplayError;
 use apex_scheme::{SchemeReport, VerifyReport};
 use apex_sim::{Json, JsonError};
 
+use crate::kernel::KernelReport;
 use crate::program::scheme_from_label;
 
 /// Result of an agreement-mode scenario: the per-phase outcomes plus the
@@ -75,9 +75,7 @@ pub enum ScenarioReport {
     Scheme(SchemeReport),
     /// An agreement-mode run (raw protocol phases + Theorem-1 validators).
     Agreement(AgreementRunReport),
-    /// A kernel-mode run (stress kernel under either execution engine;
-    /// the report is engine-independent by the ticketed engine's
-    /// byte-identity contract).
+    /// A kernel-mode run (synthetic stress kernel).
     Kernel(KernelReport),
 }
 

@@ -7,13 +7,13 @@ use apex_core::{
     AgreementConfig, AgreementRun, CoinSource, InstrumentOpts, KeyedSource, RandomSource,
     ValueSource,
 };
-use apex_exec::{ExecMode, ExecStats, KernelSpec};
 use apex_obs::Obs;
 use apex_pram::{Program, VarBlock};
 use apex_scheme::tasks::eval_cost;
 use apex_scheme::{ReplicaK, SchemeKind, SchemeRun, SchemeRunConfig};
 use apex_sim::{AdversarySpec, Json, JsonError, ScheduleKind};
 
+use crate::kernel::KernelSpec;
 use crate::program::{scheme_from_label, ProgramSource};
 use crate::report::{AgreementRunReport, ScenarioReport};
 
@@ -118,7 +118,7 @@ impl SourceSpec {
 /// Both engines perform the identical sequence of atomic operations and
 /// RNG draws per processor per tick, so schedules, work accounting, memory
 /// stamps, and reports are byte-for-byte the same — this is a pure
-/// throughput choice, like [`ExecMode`] for kernel scenarios.
+/// throughput choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProgramEngine {
     /// The tree-walking scheme processors (`apex-scheme`): the reference
@@ -175,11 +175,6 @@ pub struct EngineKnobs {
     /// Per-subphase (scheme mode) / per-phase (agreement mode) stall
     /// budget in work units (`None` derives a generous default).
     pub tick_budget: Option<u64>,
-    /// Execution engine for kernel-mode scenarios (serial reference or
-    /// ticketed parallel; see [`ExecMode`]). Scheme and agreement modes
-    /// always run on the serial engine and ignore this knob. Reports are
-    /// byte-identical across modes, so this is a pure engine choice.
-    pub exec: ExecMode,
     /// Interpreter engine for scheme-mode scenarios (tree walker or
     /// bytecode VM; see [`ProgramEngine`]). Agreement and kernel modes
     /// ignore this knob. Reports are byte-identical across engines.
@@ -193,12 +188,8 @@ impl EngineKnobs {
             ("batch".into(), opt(self.batch.map(|b| b as u64))),
             ("tick_budget".into(), opt(self.tick_budget)),
         ];
-        // Omitted when Serial so every pre-existing document — and with it
-        // every content digest in every store — is byte-for-byte unchanged.
-        if self.exec != ExecMode::Serial {
-            fields.push(("exec".into(), self.exec.to_json()));
-        }
-        // Same digest-preservation rule: omitted at the Tree default.
+        // Omitted at the Tree default so every pre-existing document — and
+        // with it every content digest in every store — is unchanged.
         if self.program_engine != ProgramEngine::Tree {
             fields.push(("program_engine".into(), self.program_engine.to_json()));
         }
@@ -212,6 +203,19 @@ impl EngineKnobs {
                 Some(x) => x.as_u64().map(Some),
             }
         };
+        // `exec` once chose a kernel execution engine, and documents wrote
+        // it only when it was not serial. Serial is the only engine left,
+        // so any other value fails here rather than silently re-digesting
+        // the cell as serial.
+        if let Some(e) = v.get_opt("exec").filter(|e| **e != Json::Null) {
+            if e.get("mode").and_then(Json::as_str).ok() != Some("serial") {
+                return Err(jerr(format!(
+                    "engine.exec {} is not supported: kernel scenarios run only on the \
+                     serial engine; drop the field",
+                    e.render()
+                )));
+            }
+        }
         Ok(EngineKnobs {
             batch: opt(v.get_opt("batch"))?
                 .map(|b| {
@@ -219,10 +223,6 @@ impl EngineKnobs {
                 })
                 .transpose()?,
             tick_budget: opt(v.get_opt("tick_budget"))?,
-            exec: match v.get_opt("exec") {
-                None | Some(Json::Null) => ExecMode::Serial,
-                Some(e) => ExecMode::from_json(e)?,
-            },
             program_engine: match v.get_opt("program_engine") {
                 None | Some(Json::Null) => ProgramEngine::Tree,
                 Some(e) => ProgramEngine::from_json(e)?,
@@ -257,10 +257,8 @@ pub enum Mode {
         /// Instrumentation switches.
         instrument: InstrumentOpts,
     },
-    /// Drive a stress-kernel workload ([`KernelSpec`]) for a fixed number
-    /// of schedule ticks — the workload family the ticketed parallel
-    /// engine ([`ExecMode::Ticketed`]) can execute on multiple threads
-    /// with a byte-identical report.
+    /// Drive a synthetic stress-kernel workload ([`KernelSpec`]) for a
+    /// fixed number of schedule ticks.
     Kernel {
         /// The kernel family and its parameters.
         kernel: KernelSpec,
@@ -382,13 +380,6 @@ impl Scenario {
         self
     }
 
-    /// Set the execution engine (kernel mode; other modes carry the knob
-    /// but always run serially).
-    pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.engine.exec = exec;
-        self
-    }
-
     /// Set the interpreter engine (scheme mode; other modes carry the
     /// knob but ignore it).
     pub fn program_engine(mut self, engine: ProgramEngine) -> Self {
@@ -441,7 +432,6 @@ impl Scenario {
         if self.engine.batch == Some(0) {
             return fail("engine batch must be ≥ 1".into());
         }
-        self.engine.exec.validate().map_err(ScenarioError)?;
         let resolved = match &self.mode {
             Mode::Scheme {
                 program, replicas, ..
@@ -643,66 +633,29 @@ impl Scenario {
     /// If [`Scenario::validate`] fails (validate first when the scenario
     /// comes from an untrusted file) or the run trips a stall budget.
     pub fn run(&self) -> ScenarioReport {
-        self.run_with_exec(None)
+        self.run_with(None, &Obs::disabled())
     }
 
-    /// [`Scenario::run`] with a runtime engine override: `Some(mode)`
-    /// replaces the scenario's [`EngineKnobs::exec`] knob for this
-    /// execution only — the scenario document (and so its digest) is
-    /// untouched, and since reports are engine-independent the output
-    /// bytes cannot change either. `None` runs the knob as written.
-    /// Scheme and agreement modes always execute serially regardless.
-    pub fn run_with_exec(&self, exec: Option<ExecMode>) -> ScenarioReport {
-        self.run_with_exec_obs(exec, &Obs::disabled()).0
-    }
-
-    /// [`Scenario::run`] with runtime overrides for *both* engine knobs:
-    /// `exec` for kernel scenarios, `engine` for scheme scenarios. As with
-    /// [`Scenario::run_with_exec`], `Some(_)` replaces the corresponding
-    /// knob for this execution only — the document and its digest are
-    /// untouched, and since reports are engine-independent the output
-    /// bytes cannot change either.
-    pub fn run_with_engines(
-        &self,
-        exec: Option<ExecMode>,
-        engine: Option<ProgramEngine>,
-    ) -> ScenarioReport {
-        self.run_with_engines_obs(exec, engine, &Obs::disabled()).0
-    }
-
-    /// [`Scenario::run_with_exec`] with a trace sink, also returning the
-    /// engine's (telemetry-only) [`ExecStats`]. When tracing is enabled,
-    /// scheme/agreement runs emit `engine`-scope block events (labelled
-    /// with the adversary's self-description, so traces attribute ticks
-    /// per adversary combinator) and kernel runs emit the ticketed
-    /// engine's window/commit/conflict events. Telemetry never changes a
-    /// byte of the report.
-    pub fn run_with_exec_obs(
-        &self,
-        exec: Option<ExecMode>,
-        obs: &Obs,
-    ) -> (ScenarioReport, ExecStats) {
-        self.run_with_engines_obs(exec, None, obs)
-    }
-
-    /// [`Scenario::run_with_engines`] with a trace sink (the fully general
-    /// executor every other `run*` method delegates to). In addition to
-    /// the events described on [`Scenario::run_with_exec_obs`], a scheme
-    /// run on the bytecode engine emits one `compile`-scope event with the
-    /// lowering pass's sizing counters.
-    pub fn run_with_engines_obs(
-        &self,
-        exec: Option<ExecMode>,
-        engine: Option<ProgramEngine>,
-        obs: &Obs,
-    ) -> (ScenarioReport, ExecStats) {
+    /// [`Scenario::run`] with a runtime interpreter override and a trace
+    /// sink. `Some(engine)` replaces [`EngineKnobs::program_engine`] for
+    /// this execution only: the document and its digest are untouched,
+    /// and since reports are engine-independent the output bytes cannot
+    /// change either. Agreement and kernel modes ignore the override.
+    ///
+    /// When tracing is enabled, scheme and agreement runs emit
+    /// `engine`-scope block events (labelled with the adversary's
+    /// self-description, so traces attribute ticks per adversary
+    /// combinator), and a scheme run on the bytecode engine emits one
+    /// `compile`-scope event with the lowering pass's sizing counters.
+    /// Telemetry never changes a byte of the report.
+    pub fn run_with(&self, engine: Option<ProgramEngine>, obs: &Obs) -> ScenarioReport {
         match &self.mode {
             Mode::Scheme { .. } => {
                 let mut run = self.build_scheme_obs(engine, obs);
                 if obs.enabled() {
                     install_block_hook(run.machine_mut(), obs);
                 }
-                (ScenarioReport::Scheme(run.run()), ExecStats::serial())
+                ScenarioReport::Scheme(run.run())
             }
             Mode::Agreement { phases, .. } => {
                 let phases = *phases;
@@ -711,31 +664,24 @@ impl Scenario {
                     install_block_hook(run.machine_mut(), obs);
                 }
                 let outcomes = run.run_phases(phases);
-                (
-                    ScenarioReport::Agreement(AgreementRunReport {
-                        outcomes,
-                        ticks: run.machine().ticks(),
-                        stability_violations: run.stability_violations(),
-                    }),
-                    ExecStats::serial(),
-                )
+                ScenarioReport::Agreement(AgreementRunReport {
+                    outcomes,
+                    ticks: run.machine().ticks(),
+                    stability_violations: run.stability_violations(),
+                })
             }
             Mode::Kernel { kernel, n, ticks } => {
                 if let Err(e) = self.validate() {
                     panic!("invalid scenario: {e}");
                 }
-                let mode = exec.unwrap_or(self.engine.exec);
-                let (report, stats) = apex_exec::run_kernel_obs(
+                ScenarioReport::Kernel(crate::kernel::run(
                     *kernel,
                     *n,
                     *ticks,
                     &self.schedule,
                     self.seed,
                     self.engine.batch,
-                    mode,
-                    obs,
-                );
-                (ScenarioReport::Kernel(report), stats)
+                ))
             }
         }
     }

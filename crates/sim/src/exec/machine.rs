@@ -589,8 +589,7 @@ impl Machine {
     }
 
     /// Observer snapshot of the entire shared memory (instrumentation) —
-    /// the full image the ticketed parallel engine seeds its workers with
-    /// and checksums at the end of a run.
+    /// the image a kernel run checksums at its end.
     pub fn mem_image(&self) -> Vec<Stamped> {
         self.mem.borrow().image()
     }

@@ -215,10 +215,9 @@ impl SharedMemory {
         self.cells[region.base..region.end()].to_vec()
     }
 
-    /// Instrumentation snapshot of the *entire* memory — the read
-    /// snapshot the ticketed parallel engine hands its speculative
-    /// workers, and the image checksummed by kernel reports. Costs no
-    /// work and no model-level reads.
+    /// Instrumentation snapshot of the *entire* memory — the image
+    /// checksummed by kernel reports. Costs no work and no model-level
+    /// reads.
     pub fn image(&self) -> Vec<Stamped> {
         self.cells.clone()
     }

@@ -20,7 +20,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use apex_scenario::{RunOutcome, Scenario};
+use apex_scenario::{ReportRecord, RunOutcome, Scenario};
 use apex_scheme::SchemeKind;
 
 use crate::campaign::{campaign_triple, run_campaign, CampaignConfig, Finding};
@@ -38,12 +38,11 @@ pub fn usage() -> ! {
          shrink       --file F [--out DIR] [--shrink-budget R]\n\
          replay       --file F | --dir DIR\n\
          run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]\n\
-         \x20             [--exec serial|ticketed [--workers N]] [--engine tree|bytecode]\n\
-         \x20             [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
+         \x20             [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]]\n\
+         \x20             [--profile]\n\
          \x20             execute a scenario file (--cached answers from the lab store;\n\
-         \x20             --exec overrides the kernel engine, --engine the scheme-mode\n\
-         \x20             interpreter, --trace/--metrics observe the run — none of them\n\
-         \x20             changes a result byte)\n\
+         \x20             --engine overrides the scheme-mode interpreter, --trace/--metrics\n\
+         \x20             observe the run — none of them changes a result byte)\n\
          migrate      [--dir DIR]                     rewrite artifacts at v{VERSION}\n\
          corpus-dedup [--dir DIR] [--dry-run]         drop scenario-digest duplicates"
     );
@@ -113,34 +112,9 @@ impl Args {
     }
 }
 
-/// Parse the shared `--exec serial|ticketed [--workers N]` engine
-/// override used by `run`, `suite run` and `farm worker`. `--workers N`
-/// alone implies the ticketed engine; the flags never change a result
-/// byte, only which engine computes it. Invalid values abort with the
-/// usage text.
-pub fn exec_override(args: &Args) -> Option<apex_scenario::ExecMode> {
-    use apex_scenario::ExecMode;
-    let workers: usize = args.num("workers", 4);
-    let mode = match args.get("exec") {
-        None if args.has("workers") => ExecMode::Ticketed { workers },
-        None => return None,
-        Some("serial") => ExecMode::Serial,
-        Some("ticketed") => ExecMode::Ticketed { workers },
-        Some(other) => {
-            eprintln!("invalid --exec value {other:?} (expected serial or ticketed)");
-            usage();
-        }
-    };
-    if let Err(e) = mode.validate() {
-        eprintln!("{e}");
-        usage();
-    }
-    Some(mode)
-}
-
 /// Parse the shared `--engine tree|bytecode` scheme-interpreter override
-/// used by `run`, `suite run` and `farm worker`. Like `--exec`, the flag
-/// never changes a result byte — both engines produce byte-identical
+/// used by `run`, `suite run` and `farm worker`. The flag never changes
+/// a result byte — both engines produce byte-identical
 /// reports — only which interpreter computes them. Invalid values abort
 /// with the usage text.
 pub fn engine_override(args: &Args) -> Option<apex_scenario::ProgramEngine> {
@@ -159,7 +133,7 @@ pub fn engine_override(args: &Args) -> Option<apex_scenario::ProgramEngine> {
 /// `--trace` resolves to `default_trace` (a conventional location next
 /// to the run's other artifacts); `--trace FILE` goes wherever the
 /// caller pointed. Telemetry observes the run and never changes a
-/// result byte, so these flags compose freely with `--exec`/`--cached`.
+/// result byte, so these flags compose freely with `--engine`/`--cached`.
 pub fn obs_override(args: &Args, default_trace: impl FnOnce() -> PathBuf) -> apex_obs::ObsOpts {
     apex_obs::ObsOpts {
         trace: args.has("trace").then(|| {
@@ -195,7 +169,7 @@ pub fn dispatch(argv: &[String]) -> ExitCode {
 
 /// Execute one scenario file: validate, (optionally) re-emit the
 /// canonical serialized form, run, and report — human-readable by
-/// default, the full [`ReportRecord`](apex_scenario::ReportRecord) document on stdout with `--json`
+/// default, the full [`ReportRecord`] document on stdout with `--json`
 /// (for scripts and CI). Exit code 0 iff the run met its mode's
 /// correctness bar.
 pub fn cmd_run(raw: &[String]) -> ExitCode {
@@ -268,15 +242,11 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
         }
     };
     let stopwatch = apex_obs::Stopwatch::start();
-    let (outcome, exec_stats) = RunOutcome::capture_engines_obs(
-        &scenario,
-        exec_override(&args),
-        engine_override(&args),
-        &obs,
-    );
+    let engine = engine_override(&args);
+    let outcome = RunOutcome::capture_with(&scenario, |s| ReportRecord::run_with(s, engine, &obs));
     obs.flush();
     if obs_opts.metrics || obs_opts.profile {
-        let metrics = single_run_metrics(&outcome, exec_stats, &obs_opts, &stopwatch);
+        let metrics = single_run_metrics(&outcome, &obs_opts, &stopwatch);
         let path = args.get("metrics").unwrap_or(apex_obs::METRICS_FILE);
         if let Err(e) = std::fs::write(path, metrics.render_pretty()) {
             eprintln!("--metrics: failed to write {path}: {e}");
@@ -314,7 +284,6 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
 /// alike.
 fn single_run_metrics(
     outcome: &RunOutcome,
-    exec_stats: apex_scenario::ExecStats,
     opts: &apex_obs::ObsOpts,
     stopwatch: &apex_obs::Stopwatch,
 ) -> apex_obs::Metrics {
@@ -329,10 +298,6 @@ fn single_run_metrics(
     m.add("cells.poisoned", u64::from(outcome.status() == "poisoned"));
     let ticks = outcome.record().map(|r| r.report.ticks()).unwrap_or(0);
     m.add("ticks.executed", ticks);
-    m.add("exec.windows", exec_stats.windows);
-    m.add("exec.conflicts", exec_stats.conflicts);
-    m.add("exec.serial_reruns", exec_stats.serial_reruns);
-    m.gauge_max("exec.workers", exec_stats.workers as u64);
     if outcome.record().is_some() {
         m.observe("cells.ticks", ticks);
     }

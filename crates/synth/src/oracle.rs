@@ -107,7 +107,9 @@ pub fn run_scenario_with_engine(
 ) -> Result<SchemeReport, RunAbort> {
     let scenario = scenario.clone();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        scenario.run_with_engines(None, engine).into_scheme()
+        scenario
+            .run_with(engine, &apex_obs::Obs::disabled())
+            .into_scheme()
     }))
     .map_err(|payload| {
         let msg = payload

@@ -23,7 +23,7 @@
 //! compared at the per-tick reference batch and the default batch, and
 //! the machine's dispatch counters are checked to account for every tick.
 
-use apex::scenario::{ProgramEngine, ProgramSource, RunOutcome, Scenario};
+use apex::scenario::{ProgramEngine, ProgramSource, ReportRecord, RunOutcome, Scenario};
 use apex::scheme::{SchemeKind, SchemeRun};
 use apex::sim::{AdversarySpec, Group, ScheduleKind, Span};
 use apex_obs::Obs;
@@ -36,7 +36,9 @@ use proptest::prelude::*;
 /// Render the full report record under `engine`; this is what the lab
 /// store writes, so equality here is store-level byte-identity.
 fn record_bytes(scenario: &Scenario, engine: Option<ProgramEngine>) -> String {
-    let outcome = RunOutcome::capture_engines(scenario, None, engine);
+    let outcome = RunOutcome::capture_with(scenario, |s| {
+        ReportRecord::run_with(s, engine, &Obs::disabled())
+    });
     assert!(
         outcome.record().is_some(),
         "scenario must execute: {}",

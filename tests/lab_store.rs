@@ -1,9 +1,13 @@
 //! End-to-end lab store contract over the committed example suite:
 //! write → read → byte-identical re-render, a second run produces
 //! byte-identical records with a clean drift report, and mutating or
-//! deleting a stored record is flagged as drift.
+//! deleting a stored record is flagged as drift. A legacy
+//! `exec-stats.json` sidecar is telemetry, never a record.
 
-use apex_lab::{check_against_store, run_suite, DriftKind, LabStore, Suite};
+use apex_lab::{
+    check_against_store, fsck, run_suite, DriftKind, LabStore, Suite, EXEC_STATS_FILE,
+    TELEMETRY_FILES,
+};
 use apex_scenario::ReportRecord;
 
 fn smoke_suite() -> Suite {
@@ -97,6 +101,35 @@ fn drift_is_clean_until_a_record_is_mutated_or_deleted() {
     let mut edited = suite.clone();
     edited.grids[0].base.seed += 1;
     assert!(check_against_store(&edited, &store).is_err());
+
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
+fn a_stray_exec_stats_sidecar_is_telemetry_not_a_record() {
+    // Older binaries wrote `exec-stats.json` beside the manifest, and
+    // stores may still hold one. fsck counts it as telemetry without
+    // parsing it (so even torn bytes are clean and never quarantined),
+    // and record listing skips it.
+    assert!(TELEMETRY_FILES.contains(&EXEC_STATS_FILE));
+    let suite = smoke_suite();
+    let digest = suite.digest();
+    let store = temp_store("stray-exec-stats");
+    store.write_run(&run_suite(&suite).unwrap()).unwrap();
+    let records = store.record_digests(&digest).unwrap();
+    assert_eq!(records.len(), 13);
+    let before = fsck(&store, false).unwrap();
+    assert!(before.clean(), "{:?}", before.issues);
+
+    let stray = store.suite_dir(&digest).join(EXEC_STATS_FILE);
+    std::fs::write(&stray, "{\"exec\": \"ser").unwrap();
+    for repair in [false, true] {
+        let report = fsck(&store, repair).unwrap();
+        assert!(report.clean(), "repair={repair}: {:?}", report.issues);
+        assert_eq!(report.files_checked, before.files_checked + 1);
+    }
+    assert!(stray.exists(), "fsck --repair must leave telemetry alone");
+    assert_eq!(store.record_digests(&digest).unwrap(), records);
 
     let _ = std::fs::remove_dir_all(store.root());
 }

@@ -24,7 +24,7 @@ use apex_lab::{
     fsck, run_suite_journaled, Grid, JournalOpts, LabStore, SeedRange, Suite, TELEMETRY_FILES,
 };
 use apex_obs::{read_trace, Metrics, Obs, ObsOpts};
-use apex_scenario::{ProgramSource, RunOutcome, Scenario, SourceSpec};
+use apex_scenario::{ProgramSource, ReportRecord, RunOutcome, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
 use proptest::prelude::*;
@@ -225,7 +225,7 @@ fn canonical_trace_is_byte_pinned() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.jsonl");
     let obs = Obs::to_file(&path).unwrap();
-    let (outcome, _) = RunOutcome::capture_exec_obs(&scenario, None, &obs);
+    let outcome = RunOutcome::capture_with(&scenario, |s| ReportRecord::run_with(s, None, &obs));
     obs.flush();
     assert!(outcome.ok(), "the canonical scenario must complete");
 

@@ -10,7 +10,7 @@
 
 use apex::core::{AgreementConfig, InstrumentOpts};
 use apex::scenario::{
-    EngineKnobs, ExecMode, Mode, ProgramEngine, ProgramSource, Scenario, SourceSpec, FORMAT_MAJOR,
+    EngineKnobs, KernelSpec, Mode, ProgramEngine, ProgramSource, Scenario, SourceSpec, FORMAT_MAJOR,
 };
 use apex::scheme::tasks::eval_cost;
 use apex::scheme::SchemeKind;
@@ -207,7 +207,6 @@ fn scenario_from_seed(seed: u64) -> Scenario {
         batch: (mix(seed, 21).is_multiple_of(3)).then(|| 1 + (mix(seed, 22) as usize) % 256),
         tick_budget: (mix(seed, 23).is_multiple_of(4))
             .then(|| 1_000_000 + mix(seed, 24) % (1 << 50)),
-        exec: ExecMode::default(),
         program_engine: if mix(seed, 25).is_multiple_of(5) {
             ProgramEngine::Bytecode
         } else {
@@ -317,4 +316,38 @@ fn golden_scenario_runs_reproducibly() {
     let (a, b) = (a.scheme(), b.scheme());
     assert_eq!(a.total_work, b.total_work);
     assert_eq!(a.final_memory, b.final_memory);
+}
+
+#[test]
+fn stale_exec_fields_are_rejected_and_serial_ones_keep_their_digest() {
+    // Older documents carried `engine.exec` whenever a kernel cell asked
+    // for a non-serial engine. Only the serial engine exists now, so such
+    // a document must fail to parse rather than re-digest as serial;
+    // `null` and an explicit serial stanza read exactly as before.
+    let kernel = Scenario::kernel(KernelSpec::Storm { region: 8 }, 8, 1_000, 3);
+    let with_exec = |exec: &str| {
+        let mut doc = kernel.to_json();
+        let Json::Obj(fields) = &mut doc else {
+            panic!("scenario documents are objects")
+        };
+        let Some((_, Json::Obj(engine))) = fields.iter_mut().find(|(k, _)| k == "engine") else {
+            panic!("scenario documents carry an engine stanza")
+        };
+        engine.push(("exec".into(), Json::parse(exec).unwrap()));
+        Scenario::parse(&doc.render())
+    };
+    for stale in [
+        r#"{"mode": "ticketed", "workers": 4}"#,
+        r#"{"mode": "parallel"}"#,
+        r#"{"workers": 1}"#,
+        r#""serial""#,
+    ] {
+        let err = with_exec(stale).expect_err(stale);
+        assert!(err.msg.contains("engine.exec"), "{stale}: {err}");
+    }
+    for kept in ["null", r#"{"mode": "serial"}"#] {
+        let s = with_exec(kept).unwrap_or_else(|e| panic!("{kept}: {e}"));
+        assert_eq!(s, kernel, "{kept}");
+        assert_eq!(s.digest(), kernel.digest(), "{kept}");
+    }
 }
