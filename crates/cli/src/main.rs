@@ -299,7 +299,10 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
             for mismatch in &run.output_mismatches {
                 println!("  output assertion FAILED: {mismatch}");
             }
-            if run.all_ok() {
+            for d in &done.divergences {
+                println!("  DIVERGENCE: {d}");
+            }
+            if run.all_ok() && done.divergences.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

@@ -14,14 +14,16 @@
 //! * [`FarmQueue`] — a file-based work queue (`apex farm submit`
 //!   enqueues a suite document; entries are content-addressed and
 //!   idempotent like everything else);
-//! * [`run_worker`] — drain the queue ([`apex farm worker`]): lease
+//! * [`run_worker`] — drain the queue (`apex farm worker`): lease
 //!   cell shards with fsynced lease files whose expiry is
-//!   *operation-indexed* on the suite journal (never wall-clock), answer
-//!   cells from verified store bytes, execute only true misses, and
-//!   finalize each suite with a manifest byte-identical to a
-//!   single-runner run. Any two workers that produce bytes for the same
-//!   cell are diffed against each other ([`Divergence`]) — a free
-//!   integrity check on the whole deterministic pipeline;
+//!   *operation-indexed* on the suite journal (never wall-clock), run
+//!   each shard's uncommitted cells through `apex suite run`'s own cell
+//!   loop ([`apex_lab::CellLoop`]), skip suites that are already
+//!   finalized, and finalize each suite with a manifest byte-identical
+//!   to a single-runner run. A cell whose fresh bytes differ from
+//!   verified bytes already stored is reported
+//!   ([`Divergence`](apex_lab::Divergence)) — a free integrity check on
+//!   the whole deterministic pipeline;
 //! * [`query`] — the front-end (`apex farm query`): answer a single
 //!   scenario from cache, or enqueue it as a one-cell suite for the
 //!   workers.
@@ -42,6 +44,4 @@ mod worker;
 
 pub use query::{query, QueryAnswer};
 pub use queue::{FarmQueue, FarmStatus, SuiteProgress, DEFAULT_QUEUE_ROOT};
-pub use worker::{
-    run_worker, Divergence, WorkerOpts, WorkerReport, DEFAULT_SHARD_CELLS, DEFAULT_TTL,
-};
+pub use worker::{run_worker, WorkerOpts, WorkerReport, DEFAULT_SHARD_CELLS, DEFAULT_TTL};

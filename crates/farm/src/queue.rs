@@ -11,7 +11,8 @@
 
 use std::path::{Path, PathBuf};
 
-use apex_lab::{read_journal, read_leases, LabStore, Suite};
+use apex_lab::{read_journal, read_leases, verify_cells, LabStore, Suite};
+use apex_obs::Obs;
 
 /// Default queue root, relative to the working directory (a sibling of
 /// the lab store's `.apex/lab`).
@@ -107,15 +108,9 @@ impl FarmQueue {
                 .as_ref()
                 .map(|s| s.poisoned.iter().copied().collect())
                 .unwrap_or_default();
-            let records = cells
-                .iter()
-                .filter(|c| {
-                    matches!(
-                        store.lookup_record(&digest, &c.digest, None),
-                        apex_lab::CacheLookup::Hit(..)
-                    )
-                })
-                .count();
+            let threads = apex_bench::runner::resolve_threads(None);
+            let (_, _, verified) =
+                verify_cells(store, &digest, &cells, None, threads, &Obs::disabled());
             let finished = journal.as_ref().is_some_and(|s| s.finished)
                 && store.read_manifest(&digest).is_ok();
             let leases = read_leases(store, &digest)?.len();
@@ -123,7 +118,7 @@ impl FarmQueue {
                 digest,
                 name: suite.name.clone(),
                 cells: cells.len(),
-                records,
+                records: verified.hits as usize,
                 poisoned: poisoned.len(),
                 leases,
                 finished,

@@ -1,17 +1,19 @@
 //! The farm worker: drain queued suites by leasing cell shards.
 //!
-//! Per suite, the worker sweeps the shard list; for each shard it can
-//! claim (no lease, its own lease, or a torn/expired one), it appends
-//! `claimed` journal entries for the shard's unterminated cells, runs
-//! them on the shared trial runner (thread fan-out via the workspace's
-//! one resolver, [`resolve_threads`]), writes records content-addressed,
-//! and appends `committed`/`poisoned` — the exact per-cell protocol of
-//! `apex suite run`, so the journal replays identically and fsck needs
-//! no new record rules. Once every cell of a suite is terminal, whoever
-//! gets there finalizes: outcomes are reconstructed from verified
-//! records (and journal `poisoned` entries for record-less cells),
-//! assembled through the runner's own finish path, and the manifest
-//! written — byte-identical to a single-worker run.
+//! A worker runs cells through `apex suite run`'s own cell loop
+//! ([`CellLoop`]); all it adds is what is farm-specific. Per suite, it
+//! sweeps the shard list; for each shard it can claim (no lease, its
+//! own lease, or a torn/expired one), it hands the shard's pending cells
+//! — those the shared journal has not yet committed (with a record that
+//! still verifies) or poisoned — to [`CellLoop::run`], which streams
+//! them claimed → run → committed with thread fan-out from the
+//! workspace's one resolver, [`resolve_threads`]. The journal therefore
+//! replays like a serial run's, and fsck needs no new record rules.
+//! Once every cell of a suite is terminal, whoever gets there finalizes:
+//! outcomes are rebuilt from verified records (and journal `poisoned`
+//! entries for record-less cells) and handed to the runner's own
+//! [`finalize_run`], so the manifest is byte-identical to a
+//! single-worker run.
 //!
 //! **Stalls cannot deadlock.** Lease expiry is operation-indexed on the
 //! journal; when a sweep makes no progress because another worker holds
@@ -19,20 +21,21 @@
 //! `claimed` — journals are telemetry, not store identity) to advance
 //! the clock. A live holder keeps appending and stays ahead of its ttl;
 //! a dead one's lease lapses after at most `ttl` probes and the shard is
-//! taken over. Stealing from a *slow but live* holder is safe too:
-//! record writes are idempotent, and any byte disagreement between two
-//! workers' results for one cell is surfaced as a [`Divergence`] instead
-//! of being silently overwritten.
+//! taken over. Stealing from a *slow but live* holder is safe too: the
+//! loop's commit rule keeps verified bytes already on disk, and any byte
+//! disagreement between two workers' results for one cell is surfaced as
+//! a [`Divergence`] instead of being silently overwritten.
 
-use apex_bench::runner::{resolve_threads, run_trials_threaded};
+use std::collections::BTreeMap;
+
+use apex_bench::runner::resolve_threads;
 use apex_lab::{
-    assemble_run, json_diff, lease_dir, lease_path, next_finish_seq, read_journal, read_leases,
-    CacheLookup, Cell, FaultInjector, Journal, JournalEntry, LabStore, Lease, Manifest, Suite,
-    CELL_PANIC_MARKER,
+    finalize_run, lease_dir, lease_path, read_journal, read_leases, tally_result_plane,
+    verify_cells, Cell, CellLoop, Divergence, Journal, JournalEntry, JournalState, LabStore, Lease,
+    Suite,
 };
-use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ReportRecord, RunOutcome};
-use apex_sim::Json;
+use apex_obs::{Metrics, Obs, ObsOpts};
+use apex_scenario::{CacheStats, RunOutcome};
 
 use crate::queue::FarmQueue;
 
@@ -81,32 +84,6 @@ impl Default for WorkerOpts {
     }
 }
 
-/// Two workers produced different bytes for one cell — the free
-/// integrity check the merger performs. The first durable record stays
-/// ground truth; the disagreement is reported with JSON-path precision.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// Suite the cell belongs to.
-    pub suite: String,
-    /// The cell's scenario digest.
-    pub cell: String,
-    /// JSON paths that differ between the stored and fresh documents
-    /// (byte-level detail when the documents do not even parse).
-    pub paths: Vec<String>,
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "divergent results for cell {} of suite {}: {}",
-            self.cell,
-            self.suite,
-            self.paths.join("; ")
-        )
-    }
-}
-
 /// What one [`run_worker`] invocation did.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerReport {
@@ -137,9 +114,10 @@ impl WorkerReport {
     }
 }
 
-/// Drain every queued suite: claim shards, execute misses, finalize
-/// completed suites. Returns when the whole queue is drained. Injected
-/// faults (via the store's [`FaultInjector`]) surface as `Err`, exactly
+/// Drain every queued suite: claim shards, run their pending cells,
+/// finalize completed suites. Returns when the whole queue is drained.
+/// Injected faults (via the store's
+/// [`FaultInjector`](apex_lab::FaultInjector)) surface as `Err`, exactly
 /// like a crashed worker process.
 pub fn run_worker(
     queue: &FarmQueue,
@@ -159,16 +137,13 @@ pub fn run_worker(
     Ok(report)
 }
 
-/// Is this cell terminal — a verified record on disk, or a journal
-/// `poisoned`/`exhausted` entry?
-fn terminal(store: &LabStore, digest: &str, cell: &Cell, poisoned: &[u64]) -> bool {
-    if poisoned.contains(&(cell.index as u64)) {
-        return true;
-    }
-    matches!(
-        store.lookup_record(digest, &cell.digest, None),
-        CacheLookup::Hit(..)
-    )
+/// Is this cell terminal for the shared run — `poisoned` in the journal,
+/// or `committed` there with a record that still verifies?
+fn terminal(store: &LabStore, digest: &str, cell: &Cell, state: &JournalState) -> bool {
+    let index = cell.index as u64;
+    state.poisoned.contains(&index)
+        || (state.committed.contains(&index)
+            && matches!(store.verify_record(digest, &cell.digest, None), Ok(Some(_))))
 }
 
 /// Drain one suite, then (with `--metrics`) write this worker's
@@ -195,16 +170,7 @@ fn drain_suite(
     Ok(())
 }
 
-/// What one executed cell contributed, held back until the journal
-/// says whether this worker *owns* the cell (see
-/// [`attribute_result_plane`]).
-struct CellTally {
-    ok: bool,
-    status: &'static str,
-    ticks: Option<u64>,
-}
-
-/// Fold the tallies of every cell this worker owns into its metrics
+/// Fold the outcomes of every cell this worker owns into its metrics
 /// shard. Ownership is the first terminal (`committed`/`poisoned`)
 /// journal entry per index: the journal is one totally-ordered file
 /// all workers share, so every worker computes the same attribution
@@ -217,37 +183,23 @@ fn attribute_result_plane(
     store: &LabStore,
     digest: &str,
     worker: &str,
-    tallies: &std::collections::BTreeMap<u64, CellTally>,
+    total: usize,
+    executed: &BTreeMap<u64, RunOutcome>,
     metrics: &mut Metrics,
 ) {
     let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
     let mut seen = std::collections::BTreeSet::new();
-    for entry in &state.entries {
+    let owned = state.entries.iter().filter_map(|entry| {
         let (index, by) = match entry {
             JournalEntry::Committed { index, by, .. } => (*index, by),
             JournalEntry::Poisoned { index, by, .. } => (*index, by),
-            _ => continue,
+            _ => return None,
         };
-        if !seen.insert(index) || by != worker {
-            continue;
-        }
-        let Some(t) = tallies.get(&index) else {
-            continue;
-        };
-        metrics.add("cells.executed", 1);
-        if t.ok {
-            metrics.add("cells.ok", 1);
-        }
-        match t.status {
-            "exhausted" => metrics.add("cells.exhausted", 1),
-            "poisoned" => metrics.add("cells.poisoned", 1),
-            _ => {}
-        }
-        if let Some(ticks) = t.ticks {
-            metrics.add("ticks.executed", ticks);
-            metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
-        }
-    }
+        (seen.insert(index) && by == worker)
+            .then(|| executed.get(&index))
+            .flatten()
+    });
+    tally_result_plane(metrics, total, owned);
 }
 
 fn drain_suite_inner(
@@ -260,23 +212,10 @@ fn drain_suite_inner(
     metrics: &mut Metrics,
 ) -> Result<(), String> {
     let cells = suite.expand()?;
-    // Seed every result-plane key so a shard that executes (or owns)
-    // nothing still merges to the exact key set a serial run writes (a
-    // missing counter and a zero counter must be the same document).
-    metrics.gauge_max("cells.total", cells.len() as u64);
-    for key in [
-        "cells.executed",
-        "cells.ok",
-        "cells.exhausted",
-        "cells.poisoned",
-        "ticks.executed",
-        "farm.executions",
-    ] {
-        metrics.add(key, 0);
-    }
-    // Executed-cell contributions, attributed to shards only once the
-    // journal names an owner.
-    let mut tallies = std::collections::BTreeMap::new();
+    metrics.add("farm.executions", 0);
+    // Outcomes of the cells this worker executed, attributed to shards
+    // only once the journal names an owner.
+    let mut executed = BTreeMap::new();
     let dir = store.suite_dir(digest);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let journal_path = store.journal_path(digest);
@@ -284,36 +223,21 @@ fn drain_suite_inner(
     if let Some(f) = store.faults() {
         journal = journal.with_faults(f.clone());
     }
-    let jerr = |e: std::io::Error| format!("journal append failed: {e}");
+    let threads = resolve_threads(opts.threads);
 
     // First scan: the memoization tally for this visit.
-    for cell in &cells {
-        let verdict = match store.lookup_record(digest, &cell.digest, None) {
-            CacheLookup::Hit(..) => {
-                report.cache.hits += 1;
-                metrics.add("cache.hits", 1);
-                "hit"
-            }
-            CacheLookup::Miss => {
-                report.cache.misses += 1;
-                metrics.add("cache.misses", 1);
-                "miss"
-            }
-            CacheLookup::Rejected(_) => {
-                report.cache.rejected += 1;
-                metrics.add("cache.rejected", 1);
-                "rejected"
-            }
-        };
-        obs.emit("farm", "cache", cell.index as u64, verdict, &[]);
-    }
+    let (_, _, cache) = verify_cells(store, digest, &cells, None, threads, obs);
+    report.cache.absorb(&cache);
+    metrics.add("cache.hits", cache.hits);
+    metrics.add("cache.misses", cache.misses);
+    metrics.add("cache.rejected", cache.rejected);
 
     // Fast path: already finalized. Still sweep leases so a crashed
     // worker's debris does not outlive the run it belonged to.
     if read_journal(&journal_path).is_ok_and(|s| s.finished) && store.read_manifest(digest).is_ok()
     {
         reclaim_all_leases(store, digest)?;
-        attribute_result_plane(store, digest, &opts.worker, &tallies, metrics);
+        attribute_result_plane(store, digest, &opts.worker, cells.len(), &executed, metrics);
         return Ok(());
     }
 
@@ -324,11 +248,20 @@ fn drain_suite_inner(
             cells: cells.len() as u64,
             resumed: journal_path.exists(),
         })
-        .map_err(jerr)?;
+        .map_err(|e| format!("journal append failed: {e}"))?;
 
+    let pins = store.read_manifest(digest).ok();
+    let cell_loop = CellLoop {
+        store,
+        suite_digest: digest,
+        journal: &journal,
+        pins: pins.as_ref(),
+        engine: opts.engine,
+        obs,
+        by: &opts.worker,
+    };
     let shard_cells = opts.shard_cells.max(1);
     let n_shards = cells.len().div_ceil(shard_cells);
-    let threads = resolve_threads(opts.threads);
     // Probes advance the operation clock when every remaining shard is
     // held by someone else; after this many fruitless sweeps even the
     // longest-ttl lease must have lapsed, so no progress then means the
@@ -340,7 +273,7 @@ fn drain_suite_inner(
         let state = read_journal(&journal_path).unwrap_or_default();
         if state.finished && store.read_manifest(digest).is_ok() {
             reclaim_all_leases(store, digest)?;
-            attribute_result_plane(store, digest, &opts.worker, &tallies, metrics);
+            attribute_result_plane(store, digest, &opts.worker, cells.len(), &executed, metrics);
             return Ok(());
         }
         let mut progress = false;
@@ -349,9 +282,8 @@ fn drain_suite_inner(
             let lo = shard * shard_cells;
             let hi = (lo + shard_cells).min(cells.len());
             let state = read_journal(&journal_path).unwrap_or_default();
-            let pending: Vec<&Cell> = cells[lo..hi]
-                .iter()
-                .filter(|c| !terminal(store, digest, c, &state.poisoned))
+            let pending: Vec<usize> = (lo..hi)
+                .filter(|&i| !terminal(store, digest, &cells[i], &state))
                 .collect();
             if pending.is_empty() {
                 continue;
@@ -410,49 +342,27 @@ fn drain_suite_inner(
                 ],
             );
 
-            // Write-ahead: claim every pending cell of the shard, then
-            // run them with the shared thread fan-out, then commit.
-            for cell in &pending {
-                journal
-                    .append(&JournalEntry::Claimed {
-                        index: cell.index as u64,
-                        cell: cell.digest.clone(),
-                    })
-                    .map_err(jerr)?;
-            }
-            let outcomes = run_trials_threaded(&pending, threads.min(pending.len()), |cell| {
-                run_one(store.faults(), opts.engine, obs, cell)
-            });
-            for (cell, outcome) in pending.iter().zip(&outcomes) {
-                commit_cell(store, digest, &journal, cell, outcome, &opts.worker, report)?;
+            for done in cell_loop.run(&cells, &pending, threads)? {
                 report.executed += 1;
                 // Raw work including duplicate executions of stolen
                 // cells; the result plane is attributed at drain end.
                 metrics.add("farm.executions", 1);
-                tallies.insert(
-                    cell.index as u64,
-                    CellTally {
-                        ok: outcome.ok(),
-                        status: outcome.status(),
-                        ticks: outcome.record().map(|r| r.report.ticks()),
-                    },
-                );
+                report.divergences.extend(done.divergence);
+                executed.insert(done.index as u64, done.outcome);
             }
             let _ = std::fs::remove_file(&path); // release our claim
             progress = true;
         }
 
         let state = read_journal(&journal_path).unwrap_or_default();
-        let all_terminal = cells
-            .iter()
-            .all(|c| terminal(store, digest, c, &state.poisoned));
+        let all_terminal = cells.iter().all(|c| terminal(store, digest, c, &state));
         if all_terminal {
             if !state.finished || store.read_manifest(digest).is_err() {
-                finalize(store, digest, suite, &cells, &journal)?;
+                finalize(store, digest, suite, &cells, &journal, &state, threads)?;
                 report.finalized.push(digest.to_string());
             }
             reclaim_all_leases(store, digest)?;
-            attribute_result_plane(store, digest, &opts.worker, &tallies, metrics);
+            attribute_result_plane(store, digest, &opts.worker, cells.len(), &executed, metrics);
             return Ok(());
         }
         if !progress {
@@ -468,9 +378,7 @@ fn drain_suite_inner(
             // `terminal` reads the store, so a concurrent worker may have
             // committed the remaining cells since the `all_terminal` pass
             // above; an empty scan just means the next loop will finalize.
-            let Some(first_pending) = cells
-                .iter()
-                .find(|c| !terminal(store, digest, c, &state.poisoned))
+            let Some(first_pending) = cells.iter().find(|c| !terminal(store, digest, c, &state))
             else {
                 continue;
             };
@@ -479,7 +387,7 @@ fn drain_suite_inner(
                     index: first_pending.index as u64,
                     cell: first_pending.digest.clone(),
                 })
-                .map_err(jerr)?;
+                .map_err(|e| format!("journal append failed: {e}"))?;
             obs.emit(
                 "farm",
                 "probe",
@@ -495,151 +403,58 @@ fn drain_suite_inner(
     }
 }
 
-/// Run one cell (honoring an installed fault injector's panic plan and
-/// the worker's interpreter-engine override).
-fn run_one(
-    faults: Option<&std::sync::Arc<FaultInjector>>,
-    engine: Option<apex_scenario::ProgramEngine>,
-    obs: &Obs,
-    cell: &Cell,
-) -> RunOutcome {
-    if faults.is_some_and(|f| f.panics_cell(cell.index)) {
-        RunOutcome::capture_with(&cell.scenario, |_| {
-            panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
-        })
-    } else {
-        RunOutcome::capture_with(&cell.scenario, |s| ReportRecord::run_with(s, engine, obs))
-    }
-}
-
-/// Durably record one outcome: write the record (unless verified
-/// identical bytes are already there) and append the journal entry.
-/// A byte disagreement with an existing verified record becomes a
-/// [`Divergence`]; the stored bytes stay ground truth.
-fn commit_cell(
-    store: &LabStore,
-    digest: &str,
-    journal: &Journal,
-    cell: &Cell,
-    outcome: &RunOutcome,
-    worker: &str,
-    report: &mut WorkerReport,
-) -> Result<(), String> {
-    let jerr = |e: std::io::Error| format!("journal append failed: {e}");
-    match outcome.record() {
-        Some(record) => {
-            let fresh = record.render_pretty();
-            match store.lookup_record(digest, &cell.digest, None) {
-                CacheLookup::Hit(stored, _) if stored != fresh => {
-                    let paths = match (Json::parse(&stored), Json::parse(&fresh)) {
-                        (Ok(a), Ok(b)) => json_diff(&a, &b, 8),
-                        _ => vec!["(stored bytes are not JSON)".to_string()],
-                    };
-                    report.divergences.push(Divergence {
-                        suite: digest.to_string(),
-                        cell: cell.digest.clone(),
-                        paths,
-                    });
-                }
-                CacheLookup::Hit(..) => {} // identical bytes already durable
-                _ => {
-                    store
-                        .write_record(digest, record)
-                        .map_err(|e| format!("record write failed: {e}"))?;
-                }
-            }
-            journal
-                .append(&JournalEntry::Committed {
-                    index: cell.index as u64,
-                    cell: cell.digest.clone(),
-                    ok: outcome.ok(),
-                    by: worker.to_string(),
-                })
-                .map_err(jerr)
-        }
-        None => journal
-            .append(&JournalEntry::Poisoned {
-                index: cell.index as u64,
-                cell: cell.digest.clone(),
-                status: outcome.status().to_string(),
-                by: worker.to_string(),
-                message: match outcome {
-                    RunOutcome::Exhausted { message, .. }
-                    | RunOutcome::Poisoned { message, .. } => message.clone(),
-                    RunOutcome::Complete(_) => unreachable!("record() is None"),
-                },
-            })
-            .map_err(jerr),
-    }
-}
-
-/// Merge + finalize: reconstruct every cell's outcome from verified
-/// records (or journal `poisoned` entries), run the suite's pinned
-/// output checks through the runner's own assembly path, and write the
-/// manifest — byte-identical to what a single `apex suite run` writes,
-/// with each row pinned to the checksum of the bytes verified here.
+/// Rebuild every cell's outcome from disk — its verified record, or the
+/// journal's `poisoned` entry for a record-less cell — and finalize
+/// through the runner's [`finalize_run`], pinning each row to the
+/// checksum of the bytes verified here.
 fn finalize(
     store: &LabStore,
     digest: &str,
     suite: &Suite,
     cells: &[Cell],
     journal: &Journal,
+    state: &JournalState,
+    threads: usize,
 ) -> Result<(), String> {
-    let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
+    let (verified, checksums, _) =
+        verify_cells(store, digest, cells, None, threads, &Obs::disabled());
     let mut outcomes = Vec::with_capacity(cells.len());
-    let mut checksums = Vec::with_capacity(cells.len());
-    for cell in cells {
-        match store.verify_record(digest, &cell.digest, None) {
-            Ok(Some(v)) => {
-                outcomes.push(RunOutcome::Complete(v.record));
-                checksums.push(Some(v.checksum));
-            }
-            _ => {
-                checksums.push(None);
-                let (status, message) = state
-                    .entries
-                    .iter()
-                    .rev()
-                    .find_map(|e| match e {
-                        JournalEntry::Poisoned {
-                            index,
-                            status,
-                            message,
-                            ..
-                        } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
-                        _ => None,
-                    })
-                    .ok_or_else(|| {
-                        format!("cell {} of suite {digest} is not terminal", cell.index)
-                    })?;
-                outcomes.push(if status == "exhausted" {
-                    RunOutcome::Exhausted {
-                        scenario: cell.scenario.clone(),
-                        message,
-                    }
-                } else {
-                    RunOutcome::Poisoned {
-                        scenario: cell.scenario.clone(),
-                        message,
-                    }
-                });
-            }
+    for (cell, verified) in cells.iter().zip(verified) {
+        if let Some(outcome) = verified {
+            outcomes.push(outcome);
+            continue;
         }
+        let (status, message) = state
+            .entries
+            .iter()
+            .rev()
+            .find_map(|e| match e {
+                JournalEntry::Poisoned {
+                    index,
+                    status,
+                    message,
+                    ..
+                } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
+                _ => None,
+            })
+            .ok_or_else(|| format!("cell {} of suite {digest} is not terminal", cell.index))?;
+        let scenario = cell.scenario.clone();
+        outcomes.push(if status == "exhausted" {
+            RunOutcome::Exhausted { scenario, message }
+        } else {
+            RunOutcome::Poisoned { scenario, message }
+        });
     }
-    let mut run = assemble_run(suite, cells, outcomes);
-    // Pin the bytes just verified instead of rendering every record again.
-    run.checksums = checksums;
-    let manifest = Manifest::from_run(&run);
-    store
-        .write_manifest(&manifest)
-        .map_err(|e| format!("manifest write failed: {e}"))?;
-    journal
-        .append(&JournalEntry::Finished {
-            ok: run.all_ok(),
-            seq: next_finish_seq(store),
-        })
-        .map_err(|e| format!("journal append failed: {e}"))?;
-    Ok(())
+    finalize_run(
+        store,
+        journal,
+        suite,
+        cells,
+        outcomes,
+        checksums,
+        &Metrics::new(),
+    )
+    .map(drop)
 }
 
 /// Delete every lease file of a finalized suite and the `leases/`

@@ -21,7 +21,7 @@
 
 use std::path::{Path, PathBuf};
 
-use apex_scenario::{CacheStats, ReportRecord};
+use apex_scenario::ReportRecord;
 use apex_sim::Json;
 
 use crate::digest_hex;
@@ -301,29 +301,22 @@ fn scan_suite(
         // `metrics.json` plus the farm's per-worker `metrics-<id>.json`
         // shards all carry the same unified document.
         let is_metrics = name.starts_with("metrics") && name.ends_with(".json");
-        if name == EXEC_STATS_FILE {
+        if name == CACHE_STATS_FILE || name == EXEC_STATS_FILE {
             // Telemetry written only by older binaries: counted, never
             // parsed, never quarantined.
             report.files_checked += 1;
             continue;
         }
-        if name == CACHE_STATS_FILE || is_metrics {
-            // Telemetry sidecars: not store identity, but they should
-            // still parse — an unreadable one is debris worth
-            // quarantining.
+        if is_metrics {
+            // Telemetry sidecar: not store identity, but it should still
+            // parse — an unreadable one is debris worth quarantining.
             report.files_checked += 1;
             let parse = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| {
-                    if name == CACHE_STATS_FILE {
-                        CacheStats::parse(&text)
-                            .map(drop)
-                            .map_err(|e| e.to_string())
-                    } else {
-                        apex_obs::Metrics::parse(&text)
-                            .map(drop)
-                            .map_err(|e| e.to_string())
-                    }
+                    apex_obs::Metrics::parse(&text)
+                        .map(drop)
+                        .map_err(|e| e.to_string())
                 });
             if let Err(e) = parse {
                 let quarantined = repair && quarantine(store, suite, &path)?;

@@ -53,8 +53,9 @@ pub use lease::{
     LEASE_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, run_cells, run_suite, run_suite_journaled, JournalOpts, JournaledRun,
-    OutputMismatch, SuiteRun,
+    assemble_run, finalize_run, run_cells, run_suite, run_suite_journaled, tally_result_plane,
+    verify_cells, CellLoop, Committed, Divergence, JournalOpts, JournaledRun, OutputMismatch,
+    SuiteRun,
 };
 pub use store::{
     CacheLookup, LabStore, Manifest, ManifestCell, VerifiedRecord, CACHE_STATS_FILE,

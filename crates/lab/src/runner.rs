@@ -1,15 +1,25 @@
 //! Executing a suite on the workspace's parallel trial runner, with
 //! per-cell panic isolation and (optionally) write-ahead journaling.
+//!
+//! This module is the workspace's one cell loop. `apex suite run`
+//! ([`run_suite_journaled`]) and every farm worker (`apex_farm`) run
+//! cells through the same pieces: [`verify_cells`] checks stored records
+//! on the runner threads, [`CellLoop::run`] streams pending cells
+//! claimed → run → committed under one commit rule, [`finalize_run`]
+//! writes the manifest and the `finished` entry, and
+//! [`tally_result_plane`] counts what was executed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use apex_bench::runner::{resolve_threads, run_trials, run_trials_threaded};
-use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ReportRecord, RunOutcome};
+use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
+use apex_scenario::{CacheStats, ProgramEngine, ReportRecord, RunOutcome};
 
-use crate::fault::CELL_PANIC_MARKER;
+use crate::digest_hex;
+use crate::drift::json_diff;
+use crate::fault::{FaultInjector, CELL_PANIC_MARKER};
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
 use crate::store::{LabStore, Manifest};
 use crate::suite::{Cell, Suite};
@@ -90,9 +100,9 @@ impl SuiteRun {
 /// (`APEX_RUNNER_THREADS` controls fan-out, as everywhere else).
 ///
 /// Fails up front if the suite is ill-formed. Each cell runs under
-/// `catch_unwind` ([`RunOutcome::capture`]): a stall-budget trip becomes
-/// a typed `exhausted` outcome, any other panic a `poisoned` one, and
-/// the remaining cells run regardless.
+/// `catch_unwind` ([`RunOutcome::capture_with`]): a stall-budget trip
+/// becomes a typed `exhausted` outcome, any other panic a `poisoned`
+/// one, and the remaining cells run regardless.
 pub fn run_suite(suite: &Suite) -> Result<SuiteRun, String> {
     let cells = suite.expand()?;
     Ok(run_cells(suite, &cells))
@@ -101,20 +111,15 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteRun, String> {
 /// [`run_suite`] over an already-expanded cell list (callers that need
 /// the cells anyway, e.g. drift, avoid expanding twice).
 pub fn run_cells(suite: &Suite, cells: &[Cell]) -> SuiteRun {
-    let outcomes = run_trials(cells, |cell| RunOutcome::capture(&cell.scenario));
-    finish_run(suite, cells, outcomes)
+    let obs = Obs::disabled();
+    let outcomes = run_trials(cells, |cell| run_one(cell, None, None, &obs));
+    assemble_run(suite, cells, outcomes)
 }
 
-/// Check pinned outputs and assemble the [`SuiteRun`] from outcomes
-/// gathered elsewhere — the farm's manifest merger reconstructs outcomes
-/// from verified records plus journal entries and finalizes through this
-/// same path, so its manifest is byte-identical to a single-runner one.
+/// Check pinned outputs and assemble the [`SuiteRun`] from outcomes in
+/// expansion order, however they were gathered — run here, verified from
+/// the store, or rebuilt by a farm worker ([`finalize_run`] calls this).
 pub fn assemble_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> SuiteRun {
-    finish_run(suite, cells, outcomes)
-}
-
-/// Check pinned outputs and assemble the [`SuiteRun`].
-fn finish_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> SuiteRun {
     // Check the suite's pinned outputs against what actually ran
     // (expansion validated that every pinned digest names a cell).
     let mut by_digest: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -154,8 +159,8 @@ pub struct JournalOpts {
     /// cells whose stored records digest-verify byte-for-byte.
     pub resume: bool,
     /// Memoize: consult the store before executing any cell, skip
-    /// verified hits, tally a [`CacheStats`], and write the
-    /// `cache-stats.json` sidecar. Unlike `resume`, hits are also
+    /// verified hits, and tally a [`CacheStats`] (printed, and written
+    /// to `metrics.json` as `cache.*`). Unlike `resume`, hits are also
     /// checked against the existing manifest's pinned checksums, and the
     /// tally distinguishes misses from rejected (present-but-unverified)
     /// bytes.
@@ -170,7 +175,7 @@ pub struct JournalOpts {
     /// `None` honors each scenario's own engine knob. The override never
     /// changes a result byte — records, manifests, and digests are
     /// engine-independent.
-    pub engine: Option<apex_scenario::ProgramEngine>,
+    pub engine: Option<ProgramEngine>,
     /// Fold the run's wall-clock execution time (`time.elapsed_ms`) into
     /// the unified metrics document (timing telemetry, excluded from
     /// byte-identity checks).
@@ -197,6 +202,10 @@ pub struct JournaledRun {
     /// Memoization tally (all zero unless `resume` or `cached` consulted
     /// the store).
     pub cache: CacheStats,
+    /// Executed cells whose fresh bytes disagreed with verified bytes
+    /// already at their address (empty on a healthy deterministic
+    /// pipeline).
+    pub divergences: Vec<Divergence>,
     /// Wall-clock milliseconds spent executing this run's pending cells
     /// (telemetry only — never part of any stored result byte).
     pub elapsed_ms: u64,
@@ -224,13 +233,409 @@ impl JournaledRun {
     }
 }
 
+/// A cell whose fresh run produced different bytes from the verified
+/// record already at its address — two runs (or two farm workers)
+/// disagree. The stored bytes stay ground truth; the disagreement is
+/// reported with JSON-path precision.
+#[derive(Clone, Debug)]
+pub struct Divergence {
+    /// Suite the cell belongs to.
+    pub suite: String,
+    /// The cell's scenario digest.
+    pub cell: String,
+    /// JSON paths that differ between the stored and fresh records.
+    pub paths: Vec<String>,
+}
+
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "divergent results for cell {} of suite {}: {}",
+            self.cell,
+            self.suite,
+            self.paths.join("; ")
+        )
+    }
+}
+
+/// Check every cell's stored record ([`LabStore::verify_record`], pinned
+/// to the rows of `pins` when given) on `threads` runner threads. Each
+/// check keeps only the parsed record and the checksum of its bytes.
+/// Returns, in cell order, each verified cell's outcome and checksum
+/// (`None` for a miss or a rejection) and the tally of all three; every
+/// verdict is traced as one `lab`/`cache` event, in cell order, so every
+/// thread count reports the same scan.
+pub fn verify_cells(
+    store: &LabStore,
+    suite_digest: &str,
+    cells: &[Cell],
+    pins: Option<&Manifest>,
+    threads: usize,
+    obs: &Obs,
+) -> (Vec<Option<RunOutcome>>, Vec<Option<String>>, CacheStats) {
+    let verdicts = run_trials_threaded(cells, threads, |cell| {
+        let pinned = pins.and_then(|m| m.pinned_checksum(cell.index, &cell.digest));
+        store
+            .verify_record(suite_digest, &cell.digest, pinned)
+            .map(|hit| hit.map(|v| (v.record, v.checksum)))
+    });
+    let mut cache = CacheStats::default();
+    let (outcomes, checksums) = cells
+        .iter()
+        .zip(verdicts)
+        .map(|(cell, verdict)| {
+            let (label, hit) = match verdict {
+                Ok(Some((record, checksum))) => {
+                    cache.hits += 1;
+                    ("hit", (Some(RunOutcome::Complete(record)), Some(checksum)))
+                }
+                Ok(None) => {
+                    cache.misses += 1;
+                    ("miss", (None, None))
+                }
+                Err(_) => {
+                    cache.rejected += 1;
+                    ("rejected", (None, None))
+                }
+            };
+            obs.emit("lab", "cache", cell.index as u64, label, &[]);
+            hit
+        })
+        .unzip();
+    (outcomes, checksums, cache)
+}
+
+/// Run one suite cell under `catch_unwind`, honoring a fault plan's
+/// panic list and an interpreter-engine override.
+fn run_one(
+    cell: &Cell,
+    faults: Option<&FaultInjector>,
+    engine: Option<ProgramEngine>,
+    obs: &Obs,
+) -> RunOutcome {
+    if faults.is_some_and(|f| f.panics_cell(cell.index)) {
+        RunOutcome::capture_with(&cell.scenario, |_| {
+            panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
+        })
+    } else {
+        RunOutcome::capture_with(&cell.scenario, |s| ReportRecord::run_with(s, engine, obs))
+    }
+}
+
+/// One suite's cell loop: where its cells run, commit and journal, and
+/// who is committing. `apex suite run` and every farm worker execute
+/// cells through [`CellLoop::run`].
+pub struct CellLoop<'a> {
+    /// The results store (and its fault injector, if any).
+    pub store: &'a LabStore,
+    /// The suite's digest — its directory in the store.
+    pub suite_digest: &'a str,
+    /// The suite's write-ahead journal.
+    pub journal: &'a Journal,
+    /// The suite's manifest, when it has one: bytes already at a cell's
+    /// address count only if they match its pinned checksum.
+    pub pins: Option<&'a Manifest>,
+    /// Interpreter-engine override for scheme-mode cells.
+    pub engine: Option<ProgramEngine>,
+    /// Trace sink for the cells' lifecycle and engine events.
+    pub obs: &'a Obs,
+    /// The `by` field of every `committed`/`poisoned` entry (empty for
+    /// `apex suite run`, the worker id for a farm worker).
+    pub by: &'a str,
+}
+
+/// One cell as [`CellLoop::run`] left it: terminal in the journal.
+#[derive(Debug)]
+pub struct Committed {
+    /// Cell index in expansion order.
+    pub index: usize,
+    /// The cell's outcome — the stored record's when it diverged.
+    pub outcome: RunOutcome,
+    /// Checksum of the record bytes at the cell's address (`None` for a
+    /// cell that left no record).
+    pub checksum: Option<String>,
+    /// Set when the fresh bytes disagreed with verified stored bytes.
+    pub divergence: Option<Divergence>,
+}
+
+impl CellLoop<'_> {
+    /// Run the `pending` cells (indices into `cells`) on up to `threads`
+    /// runner threads. Per cell: append `claimed`, run the cell under
+    /// `catch_unwind`, then commit it. Journal and store writes all
+    /// happen on the calling thread, in a strict claimed → (committed |
+    /// poisoned) order per cell; at one thread the whole journal line
+    /// sequence is deterministic (the golden-journal tests pin it).
+    /// Returns the committed cells in commit order; the first journal or
+    /// store error stops the loop.
+    pub fn run(
+        &self,
+        cells: &[Cell],
+        pending: &[usize],
+        threads: usize,
+    ) -> Result<Vec<Committed>, String> {
+        let threads = threads.min(pending.len()).max(1);
+        let execute = |i: usize| {
+            run_one(
+                &cells[i],
+                self.store.faults().map(|f| &**f),
+                self.engine,
+                self.obs,
+            )
+        };
+        let mut done = Vec::with_capacity(pending.len());
+        if threads == 1 {
+            for &i in pending {
+                self.claim(&cells[i])?;
+                done.push(self.commit(&cells[i], execute(i))?);
+            }
+            return Ok(done);
+        }
+
+        // One message per cell on a bounded campaign; the size skew is
+        // irrelevant next to the run each message reports on.
+        #[allow(clippy::large_enum_variant)]
+        enum Msg {
+            Claimed(usize),
+            Done(usize, RunOutcome),
+        }
+        let stop = AtomicBool::new(false);
+        let cursor = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<Msg>();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let tx = tx.clone();
+                let (cursor, stop, execute) = (&cursor, &stop, &execute);
+                scope.spawn(move || loop {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let k = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = pending.get(k) else { break };
+                    if tx.send(Msg::Claimed(i)).is_err() {
+                        break;
+                    }
+                    if tx.send(Msg::Done(i, execute(i))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+
+            let mut first_err = None;
+            for msg in rx {
+                if first_err.is_some() {
+                    continue; // drain so workers exit promptly
+                }
+                let step = match msg {
+                    Msg::Claimed(i) => self.claim(&cells[i]),
+                    Msg::Done(i, outcome) => self.commit(&cells[i], outcome).map(|c| done.push(c)),
+                };
+                if let Err(e) = step {
+                    stop.store(true, Ordering::SeqCst);
+                    first_err = Some(e);
+                }
+            }
+            first_err.map_or(Ok(()), Err)
+        })?;
+        if done.len() != pending.len() {
+            return Err(format!(
+                "{} of {} cells never reached a terminal state",
+                pending.len() - done.len(),
+                pending.len()
+            ));
+        }
+        Ok(done)
+    }
+
+    fn claim(&self, cell: &Cell) -> Result<(), String> {
+        self.journal
+            .append(&JournalEntry::Claimed {
+                index: cell.index as u64,
+                cell: cell.digest.clone(),
+            })
+            .map_err(journal_err)?;
+        self.obs
+            .emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
+        Ok(())
+    }
+
+    /// Durably record one outcome. A record is rendered once. If the
+    /// cell's address already holds bytes that verify (against the
+    /// manifest pin, when the suite has a manifest), identical bytes
+    /// skip the write and different bytes are a [`Divergence`] — the
+    /// stored bytes stay and give the cell's outcome and checksum.
+    /// Otherwise the record is written. Then the journal entry.
+    fn commit(&self, cell: &Cell, outcome: RunOutcome) -> Result<Committed, String> {
+        let index = cell.index;
+        let Some(record) = outcome.record() else {
+            let message = match &outcome {
+                RunOutcome::Exhausted { message, .. } | RunOutcome::Poisoned { message, .. } => {
+                    message.clone()
+                }
+                RunOutcome::Complete(_) => unreachable!("record() is None"),
+            };
+            self.journal
+                .append(&JournalEntry::Poisoned {
+                    index: index as u64,
+                    cell: cell.digest.clone(),
+                    status: outcome.status().to_string(),
+                    message,
+                    by: self.by.to_string(),
+                })
+                .map_err(journal_err)?;
+            self.obs
+                .emit("lab", outcome.status(), index as u64, &cell.digest, &[]);
+            return Ok(Committed {
+                index,
+                outcome,
+                checksum: None,
+                divergence: None,
+            });
+        };
+        let fresh = record.render_pretty();
+        let pinned = self
+            .pins
+            .and_then(|m| m.pinned_checksum(index, &cell.digest));
+        let (outcome, checksum, divergence) =
+            match self
+                .store
+                .verify_record(self.suite_digest, &cell.digest, pinned)
+            {
+                Ok(Some(stored)) if stored.text == fresh => (outcome, stored.checksum, None),
+                Ok(Some(stored)) => {
+                    let divergence = Divergence {
+                        suite: self.suite_digest.to_string(),
+                        cell: cell.digest.clone(),
+                        paths: json_diff(&stored.record.to_json(), &record.to_json(), 8),
+                    };
+                    (
+                        RunOutcome::Complete(stored.record),
+                        stored.checksum,
+                        Some(divergence),
+                    )
+                }
+                Ok(None) | Err(_) => {
+                    self.store
+                        .write_text(
+                            &self.store.record_path(self.suite_digest, &cell.digest),
+                            &fresh,
+                        )
+                        .map_err(|e| format!("record write failed: {e}"))?;
+                    (outcome, digest_hex(fresh.as_bytes()), None)
+                }
+            };
+        self.journal
+            .append(&JournalEntry::Committed {
+                index: index as u64,
+                cell: cell.digest.clone(),
+                ok: outcome.ok(),
+                by: self.by.to_string(),
+            })
+            .map_err(journal_err)?;
+        self.obs.emit(
+            "lab",
+            "commit",
+            index as u64,
+            &cell.digest,
+            &[("ok", u64::from(outcome.ok()))],
+        );
+        Ok(Committed {
+            index,
+            outcome,
+            checksum: Some(checksum),
+            divergence,
+        })
+    }
+}
+
+fn journal_err(e: std::io::Error) -> String {
+    format!("journal append failed: {e}")
+}
+
+/// Finish a suite whose every cell is terminal: check its pinned outputs
+/// ([`assemble_run`]), pin each record by the checksum in `checksums`
+/// (the bytes the caller wrote or verified, so no record is rendered
+/// again), write the manifest, then `metrics` as `metrics.json` when it
+/// is non-empty, and append `finished` last.
+pub fn finalize_run(
+    store: &LabStore,
+    journal: &Journal,
+    suite: &Suite,
+    cells: &[Cell],
+    outcomes: Vec<RunOutcome>,
+    checksums: Vec<Option<String>>,
+    metrics: &Metrics,
+) -> Result<(SuiteRun, Manifest), String> {
+    let mut run = assemble_run(suite, cells, outcomes);
+    run.checksums = checksums;
+    let manifest = Manifest::from_run(&run);
+    store
+        .write_manifest(&manifest)
+        .map_err(|e| format!("manifest write failed: {e}"))?;
+    if !metrics.is_empty() {
+        store
+            .write_metrics(&run.suite_digest, metrics)
+            .map_err(|e| format!("metrics write failed: {e}"))?;
+    }
+    journal
+        .append(&JournalEntry::Finished {
+            ok: run.all_ok(),
+            seq: next_finish_seq(store),
+        })
+        .map_err(journal_err)?;
+    Ok((run, manifest))
+}
+
+/// Count executed cells into the result plane of `metrics`: the
+/// `cells.total` gauge, the `cells.*` and `ticks.executed` counters and
+/// the `cells.ticks` histogram. Every key is written even when
+/// `executed` is empty, so a farm worker that owns no cell still merges
+/// to the key set a serial run writes.
+///
+/// Namespaces are chosen so [`Metrics::result_plane`] captures exactly
+/// this partition-independent slice — a deterministic function of
+/// *what* was computed, so a fleet drain's merge equals the serial
+/// run's aggregate — while `cache.*`, `farm.*` and wall-clock `time.*`
+/// describe *how* a run got there.
+pub fn tally_result_plane<'a>(
+    metrics: &mut Metrics,
+    total: usize,
+    executed: impl IntoIterator<Item = &'a RunOutcome>,
+) {
+    metrics.gauge_max("cells.total", total as u64);
+    for key in [
+        "cells.executed",
+        "cells.ok",
+        "cells.exhausted",
+        "cells.poisoned",
+        "ticks.executed",
+    ] {
+        metrics.add(key, 0);
+    }
+    for outcome in executed {
+        metrics.add("cells.executed", 1);
+        metrics.add("cells.ok", u64::from(outcome.ok()));
+        match outcome.status() {
+            "exhausted" => metrics.add("cells.exhausted", 1),
+            "poisoned" => metrics.add("cells.poisoned", 1),
+            _ => {}
+        }
+        if let Some(record) = outcome.record() {
+            let ticks = record.report.ticks();
+            metrics.add("ticks.executed", ticks);
+            metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
+        }
+    }
+}
+
 /// Execute `suite` with a write-ahead journal in `store`.
 ///
-/// Protocol, per cell: append `claimed`, run the cell under
-/// `catch_unwind`, then either write the record atomically and append
-/// `committed`, or append `poisoned` (no record). The run starts with a
-/// `started` entry and — once the manifest is durably written — ends
-/// with `finished`. A crash at *any* boundary leaves a journal prefix
+/// A fresh run owns the suite's journal: it starts with a `started`
+/// entry, runs every cell through [`CellLoop::run`] (`claimed`, then
+/// `committed` with the record on disk, or `poisoned` with none), and
+/// — once the manifest is durably written — ends with `finished`
+/// ([`finalize_run`]). A crash at *any* boundary leaves a journal prefix
 /// plus a set of verified record files; re-running with
 /// `opts.resume = true` skips every cell whose content-addressed record
 /// already exists, parses, digest-verifies, and is byte-identical to
@@ -238,16 +643,18 @@ impl JournaledRun {
 /// manifest and record set are byte-identical to an uninterrupted run
 /// (the determinism the whole store is built on).
 ///
-/// The resume/cache checks ([`LabStore::verify_record`]) run on the
-/// same `resolve_threads(opts.threads)` runner threads that execute
-/// cells; their verdicts reach the tally, the trace and the skip list in
-/// cell order, so every thread count reports the same run. The manifest
-/// pins each record by the checksum of the bytes this run wrote
-/// ([`LabStore::write_record`]) or verified, never a second rendering.
+/// The resume/cache checks ([`verify_cells`]) run on the same
+/// `resolve_threads(opts.threads)` runner threads that execute cells;
+/// their verdicts reach the tally, the trace and the skip list in cell
+/// order, so every thread count reports the same run. Every executed
+/// cell commits under the one commit rule ([`CellLoop`]): verified
+/// bytes already at its address are kept, and different fresh bytes are
+/// reported in [`JournaledRun::divergences`]. The manifest pins each
+/// record by the checksum of the bytes this run wrote or verified,
+/// never a second rendering.
 ///
-/// With a [`FaultInjector`](crate::fault::FaultInjector) installed on
-/// `store`, injected kills surface as `Err` mid-run — exactly like a
-/// real crash, minus the process exit.
+/// With a [`FaultInjector`] installed on `store`, injected kills surface
+/// as `Err` mid-run — exactly like a real crash, minus the process exit.
 pub fn run_suite_journaled(
     suite: &Suite,
     store: &LabStore,
@@ -261,7 +668,7 @@ pub fn run_suite_journaled(
     if !opts.resume && journal_path.exists() {
         // A fresh run owns its journal; the previous history is not part
         // of this run's story. Records stay — they are content-addressed
-        // and will be rewritten with identical bytes anyway.
+        // and verified identical bytes are kept as they are.
         std::fs::remove_file(&journal_path)
             .map_err(|e| format!("{}: {e}", journal_path.display()))?;
     }
@@ -279,56 +686,23 @@ pub fn run_suite_journaled(
         .obs
         .open_trace()
         .map_err(|e| format!("trace open failed: {e}"))?;
+    let threads = resolve_threads(opts.threads);
+    let manifest = store.read_manifest(&suite_digest).ok();
 
     // Resume and the cache path share one rule: trust nothing but
-    // verified bytes. A record is skippable only if it exists, parses
-    // (which digest-verifies the embedded scenario), sits at its own
-    // address, and is byte-identical to its canonical rendering — and,
-    // on the cached path, matches the manifest row's pinned checksum.
-    // The checks run on the runner threads; each keeps only the verdict,
-    // the parsed record and the checksum of the verified bytes (which
-    // the manifest reuses), and the verdicts are applied in cell order.
-    let mut slots: Vec<Option<RunOutcome>> = vec![None; cells.len()];
-    let mut checksums: Vec<Option<String>> = vec![None; cells.len()];
-    let mut skipped = Vec::new();
-    let mut cache = CacheStats::default();
-    if opts.resume || opts.cached {
-        let manifest = if opts.cached {
-            store.read_manifest(&suite_digest).ok()
-        } else {
-            None
-        };
-        let verdicts = run_trials_threaded(&cells, resolve_threads(opts.threads), |cell| {
-            let pinned = manifest
-                .as_ref()
-                .and_then(|m| m.pinned_checksum(cell.index, &cell.digest));
-            store
-                .verify_record(&suite_digest, &cell.digest, pinned)
-                .map(|hit| hit.map(|v| (v.record, v.checksum)))
-        });
-        for (cell, verdict) in cells.iter().zip(verdicts) {
-            let label = match verdict {
-                Ok(Some((record, checksum))) => {
-                    slots[cell.index] = Some(RunOutcome::Complete(record));
-                    checksums[cell.index] = Some(checksum);
-                    skipped.push(cell.index);
-                    cache.hits += 1;
-                    "hit"
-                }
-                Ok(None) => {
-                    cache.misses += 1;
-                    "miss"
-                }
-                Err(_) => {
-                    cache.rejected += 1;
-                    "rejected"
-                }
-            };
-            obs.emit("lab", "cache", cell.index as u64, label, &[]);
-        }
-    }
+    // verified bytes — on the cached path, also pinned by the manifest.
+    let (mut slots, mut checksums, cache) = if opts.resume || opts.cached {
+        let pins = manifest.as_ref().filter(|_| opts.cached);
+        verify_cells(store, &suite_digest, &cells, pins, threads, &obs)
+    } else {
+        (
+            vec![None; cells.len()],
+            vec![None; cells.len()],
+            CacheStats::default(),
+        )
+    };
+    let skipped: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_some()).collect();
 
-    let jerr = |e: std::io::Error| format!("journal append failed: {e}");
     journal
         .append(&JournalEntry::Started {
             suite: suite_digest.clone(),
@@ -336,253 +710,58 @@ pub fn run_suite_journaled(
             cells: cells.len() as u64,
             resumed: opts.resume,
         })
-        .map_err(jerr)?;
+        .map_err(journal_err)?;
 
-    let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
-    let executed = pending.clone();
-
-    let run_one = |cell: &Cell| -> RunOutcome {
-        if store.faults().is_some_and(|f| f.panics_cell(cell.index)) {
-            RunOutcome::capture_with(&cell.scenario, |_| {
-                panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
-            })
-        } else {
-            RunOutcome::capture_with(&cell.scenario, |s| {
-                ReportRecord::run_with(s, opts.engine, &obs)
-            })
-        }
+    let executed: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
+    let cell_loop = CellLoop {
+        store,
+        suite_digest: &suite_digest,
+        journal: &journal,
+        pins: manifest.as_ref(),
+        engine: opts.engine,
+        obs: &obs,
+        by: "",
     };
-
-    // Journal + store writes all happen on this thread, in a strict
-    // claimed → (committed | poisoned) order per cell; workers only run
-    // scenarios. `threads = 1` takes the fully deterministic serial
-    // path (the golden-journal test pins its exact line sequence).
-    // Returns the written record's checksum, for the manifest.
-    let commit =
-        |journal: &Journal, cell: &Cell, outcome: &RunOutcome| -> Result<Option<String>, String> {
-            match outcome.record() {
-                Some(record) => {
-                    let checksum = store
-                        .write_record(&suite_digest, record)
-                        .map_err(|e| format!("record write failed: {e}"))?;
-                    journal
-                        .append(&JournalEntry::Committed {
-                            index: cell.index as u64,
-                            cell: cell.digest.clone(),
-                            ok: outcome.ok(),
-                            by: String::new(),
-                        })
-                        .map_err(jerr)?;
-                    obs.emit(
-                        "lab",
-                        "commit",
-                        cell.index as u64,
-                        &cell.digest,
-                        &[("ok", u64::from(outcome.ok()))],
-                    );
-                    Ok(Some(checksum))
-                }
-                None => {
-                    journal
-                        .append(&JournalEntry::Poisoned {
-                            index: cell.index as u64,
-                            cell: cell.digest.clone(),
-                            status: outcome.status().to_string(),
-                            message: match outcome {
-                                RunOutcome::Exhausted { message, .. }
-                                | RunOutcome::Poisoned { message, .. } => message.clone(),
-                                RunOutcome::Complete(_) => unreachable!("record() is None"),
-                            },
-                            by: String::new(),
-                        })
-                        .map_err(jerr)?;
-                    obs.emit(
-                        "lab",
-                        outcome.status(),
-                        cell.index as u64,
-                        &cell.digest,
-                        &[],
-                    );
-                    Ok(None)
-                }
-            }
-        };
-
-    let threads = resolve_threads(opts.threads).min(pending.len().max(1));
     let started_at = std::time::Instant::now();
-    if threads <= 1 {
-        for &i in &pending {
-            let cell = &cells[i];
-            journal
-                .append(&JournalEntry::Claimed {
-                    index: cell.index as u64,
-                    cell: cell.digest.clone(),
-                })
-                .map_err(jerr)?;
-            obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
-            let outcome = run_one(cell);
-            checksums[i] = commit(&journal, cell, &outcome)?;
-            slots[i] = Some(outcome);
-        }
-    } else {
-        // One message per cell on a bounded campaign; the size skew is
-        // irrelevant next to the run each message reports on.
-        #[allow(clippy::large_enum_variant)]
-        enum Msg {
-            Claimed(usize),
-            Done(usize, RunOutcome),
-        }
-        let stop = AtomicBool::new(false);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let result: Result<(), String> = std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let (cursor, stop, pending, cells) = (&cursor, &stop, &pending, &cells);
-                let run_one = &run_one;
-                scope.spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = pending.get(k) else { break };
-                    if tx.send(Msg::Claimed(i)).is_err() {
-                        break;
-                    }
-                    let outcome = run_one(&cells[i]);
-                    if tx.send(Msg::Done(i, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut first_err = None;
-            for msg in rx {
-                if first_err.is_some() {
-                    continue; // drain so workers exit promptly
-                }
-                let step = match msg {
-                    Msg::Claimed(i) => journal
-                        .append(&JournalEntry::Claimed {
-                            index: cells[i].index as u64,
-                            cell: cells[i].digest.clone(),
-                        })
-                        .map_err(jerr)
-                        .map(|()| {
-                            obs.emit("lab", "claim", cells[i].index as u64, &cells[i].digest, &[]);
-                        }),
-                    Msg::Done(i, outcome) => {
-                        commit(&journal, &cells[i], &outcome).map(|checksum| {
-                            checksums[i] = checksum;
-                            slots[i] = Some(outcome);
-                        })
-                    }
-                };
-                if let Err(e) = step {
-                    stop.store(true, Ordering::SeqCst);
-                    first_err = Some(e);
-                }
-            }
-            first_err.map_or(Ok(()), Err)
-        });
-        result?;
-        if let Some(i) = slots.iter().position(Option::is_none) {
-            return Err(format!("cell {i} never reached a terminal state"));
-        }
-    }
-
+    let committed = cell_loop.run(&cells, &executed, threads)?;
     let elapsed_ms = started_at.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+
+    let mut divergences = Vec::new();
+    for c in committed {
+        divergences.extend(c.divergence);
+        checksums[c.index] = c.checksum;
+        slots[c.index] = Some(c.outcome);
+    }
     let outcomes: Vec<RunOutcome> = slots.into_iter().map(Option::unwrap).collect();
-    let executed_ticks: u64 = executed
-        .iter()
-        .filter_map(|&i| outcomes[i].record())
+    let executed_outcomes = || executed.iter().map(|&i| &outcomes[i]);
+    let executed_ticks: u64 = executed_outcomes()
+        .filter_map(RunOutcome::record)
         .map(|r| r.report.ticks())
         .sum();
-    let mut run = finish_run(suite, &cells, outcomes);
-    run.checksums = checksums;
-    // Records are already durable (committed incrementally above); only
-    // the manifest remains, pinned to the bytes this run wrote or
-    // verified.
-    let manifest = Manifest::from_run(&run);
-    store
-        .write_manifest(&manifest)
-        .map_err(|e| format!("manifest write failed: {e}"))?;
-    if opts.cached {
-        // Telemetry sidecar, not store identity — written before the
-        // `finished` line so a crash right after finalize still has it.
-        // Deprecated alias: the same tallies also land in metrics.json.
-        store
-            .write_cache_stats(&suite_digest, &cache)
-            .map_err(|e| format!("cache-stats write failed: {e}"))?;
-    }
-    let metrics = build_run_metrics(opts, &run, &cache, &executed, executed_ticks, elapsed_ms);
-    if !metrics.is_empty() {
-        store
-            .write_metrics(&suite_digest, &metrics)
-            .map_err(|e| format!("metrics write failed: {e}"))?;
+    let mut metrics = Metrics::new();
+    if opts.obs.metrics || opts.obs.profile || opts.cached || opts.timing {
+        tally_result_plane(&mut metrics, cells.len(), executed_outcomes());
+        metrics.add("cache.hits", cache.hits);
+        metrics.add("cache.misses", cache.misses);
+        metrics.add("cache.rejected", cache.rejected);
+        if opts.timing || opts.obs.profile {
+            // The only wall-clock entry — profiling plane, never compared.
+            metrics.add("time.elapsed_ms", elapsed_ms);
+        }
     }
     obs.flush();
-    journal
-        .append(&JournalEntry::Finished {
-            ok: run.all_ok(),
-            seq: next_finish_seq(store),
-        })
-        .map_err(jerr)?;
+    let (run, manifest) = finalize_run(
+        store, &journal, suite, &cells, outcomes, checksums, &metrics,
+    )?;
     Ok(JournaledRun {
         run,
         manifest,
         skipped,
         executed,
         cache,
+        divergences,
         elapsed_ms,
         executed_ticks,
         metrics,
     })
-}
-
-/// Assemble the unified per-run metrics document ([`apex_obs::Metrics`],
-/// written to `metrics.json`) from a finished run's tallies. Empty when
-/// no telemetry was requested.
-///
-/// Namespaces, chosen so [`Metrics::result_plane`] captures exactly the
-/// partition-independent slice: `cells.*` / `ticks.*`
-/// counters and `cells.*` gauges are deterministic functions of *what*
-/// was computed (a fleet drain's merge equals the serial run's
-/// aggregate), while `cache.*` coordination tallies and wall-clock
-/// `time.*` describe *how this run* got there.
-fn build_run_metrics(
-    opts: &JournalOpts,
-    run: &SuiteRun,
-    cache: &CacheStats,
-    executed: &[usize],
-    executed_ticks: u64,
-    elapsed_ms: u64,
-) -> Metrics {
-    let mut metrics = Metrics::new();
-    if !(opts.obs.metrics || opts.obs.profile || opts.cached || opts.timing) {
-        return metrics;
-    }
-    metrics.gauge_max("cells.total", run.outcomes.len() as u64);
-    metrics.add("cells.executed", executed.len() as u64);
-    let count = |pred: &dyn Fn(&RunOutcome) -> bool| {
-        executed.iter().filter(|&&i| pred(&run.outcomes[i])).count() as u64
-    };
-    metrics.add("cells.ok", count(&|o| o.ok()));
-    metrics.add("cells.exhausted", count(&|o| o.status() == "exhausted"));
-    metrics.add("cells.poisoned", count(&|o| o.status() == "poisoned"));
-    metrics.add("ticks.executed", executed_ticks);
-    metrics.add("cache.hits", cache.hits);
-    metrics.add("cache.misses", cache.misses);
-    metrics.add("cache.rejected", cache.rejected);
-    for &i in executed {
-        if let Some(record) = run.outcomes[i].record() {
-            metrics.observe_with("cells.ticks", &POW2_BOUNDS, record.report.ticks());
-        }
-    }
-    if opts.timing || opts.obs.profile {
-        // The only wall-clock entry — profiling plane, never compared.
-        metrics.add("time.elapsed_ms", elapsed_ms);
-    }
-    metrics
 }

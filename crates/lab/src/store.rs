@@ -32,7 +32,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use apex_scenario::{CacheStats, ReportRecord};
+use apex_scenario::ReportRecord;
 use apex_sim::{Json, JsonError};
 
 use crate::digest_hex;
@@ -49,10 +49,11 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// Bounded retry: total attempts per store write (1 initial + 3 retries).
 pub const MAX_WRITE_ATTEMPTS: u32 = 4;
 
-/// File name of the per-suite cache-stats sidecar. Like the journal,
-/// this is per-run telemetry, not part of the store's content-addressed
-/// identity: byte-identity comparisons exclude it (`diff -r
-/// --exclude=cache-stats.json`), and drift checking ignores it.
+/// File name of a per-suite cache-tally sidecar that older binaries
+/// wrote. Nothing writes it any more (the tallies land in the unified
+/// [`apex_obs::METRICS_FILE`] as `cache.*`), but stores may still hold a
+/// copy: fsck counts it as telemetry without parsing it, record listing
+/// skips it, and byte-identity comparisons exclude it.
 pub const CACHE_STATS_FILE: &str = "cache-stats.json";
 
 /// File name of a per-suite timing sidecar that older binaries wrote.
@@ -342,26 +343,6 @@ impl LabStore {
             .join(crate::journal::JOURNAL_FILE)
     }
 
-    /// The cache-stats sidecar path of one suite.
-    pub fn cache_stats_path(&self, suite_digest: &str) -> PathBuf {
-        self.suite_dir(suite_digest).join(CACHE_STATS_FILE)
-    }
-
-    /// Write one suite's cache-stats sidecar durably.
-    pub fn write_cache_stats(&self, suite_digest: &str, stats: &CacheStats) -> std::io::Result<()> {
-        std::fs::create_dir_all(self.suite_dir(suite_digest))?;
-        self.write_text(&self.cache_stats_path(suite_digest), &stats.render_pretty())
-    }
-
-    /// Load one suite's cache-stats sidecar (absent for runs that never
-    /// consulted the cache).
-    pub fn read_cache_stats(&self, suite_digest: &str) -> Result<CacheStats, String> {
-        let path = self.cache_stats_path(suite_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        CacheStats::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
     /// The unified metrics sidecar path of one suite
     /// ([`apex_obs::METRICS_FILE`]).
     pub fn metrics_path(&self, suite_digest: &str) -> PathBuf {
@@ -625,8 +606,8 @@ impl LabStore {
     }
 
     /// The record digests present under one suite directory (sorted; the
-    /// manifest, the metrics and cache-stats sidecars, and a legacy
-    /// [`EXEC_STATS_FILE`] are excluded, and the `.jsonl` journal and
+    /// manifest, the metrics sidecars, and a legacy [`CACHE_STATS_FILE`]
+    /// or [`EXEC_STATS_FILE`] are excluded, and the `.jsonl` journal and
     /// trace never match). Used to detect records a suite no longer
     /// names.
     pub fn record_digests(&self, suite_digest: &str) -> Result<Vec<String>, String> {

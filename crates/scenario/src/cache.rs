@@ -3,32 +3,13 @@
 //! The lab store is content-addressed and every record deterministic, so
 //! a second request for the same cell digest should never recompute.
 //! When a runner consults the store before executing (the `--cached`
-//! path, or a farm worker draining a queue), every cell lands in exactly
-//! one of three buckets: **hit** (verified bytes already present —
-//! nothing executed), **miss** (no bytes at the cell's address), or
+//! path, or a farm worker visiting a queued suite), every cell lands in
+//! exactly one of three buckets: **hit** (verified bytes already present
+//! — nothing executed), **miss** (no bytes at the cell's address), or
 //! **rejected** (bytes present but they failed verification: parse,
 //! digest, canonical rendering, or pinned checksum — the cache never
-//! trusts unverified bytes). The tally is serializable like everything
-//! else here, so it lands both in the run summary and in a
-//! `cache-stats.json` sidecar next to the manifest.
-
-use apex_sim::{Json, JsonError};
-
-use crate::record::atomic_write;
-
-/// Major version of the cache-stats JSON format (mismatches are
-/// rejected).
-pub const CACHE_FORMAT_MAJOR: u64 = 1;
-/// Minor version of the cache-stats JSON format (additive extensions
-/// only).
-pub const CACHE_FORMAT_MINOR: u64 = 0;
-
-fn jerr(msg: impl Into<String>) -> JsonError {
-    JsonError {
-        msg: msg.into(),
-        at: 0,
-    }
-}
+//! trusts unverified bytes). The tally lands in the run summary and, as
+//! `cache.*` counters, in the run's `metrics.json`.
 
 /// Per-run memoization tally: every cell the runner looked up lands in
 /// exactly one bucket.
@@ -56,8 +37,8 @@ impl CacheStats {
         self.total() > 0 && self.misses == 0 && self.rejected == 0
     }
 
-    /// Fold another tally into this one (farm workers merge per-shard
-    /// tallies).
+    /// Fold another tally into this one (a farm worker sums the tallies
+    /// of every suite it visits).
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -71,80 +52,11 @@ impl CacheStats {
             self.hits, self.misses, self.rejected
         )
     }
-
-    /// Serialize to the versioned cache-stats document (canonical field
-    /// order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "version".into(),
-                Json::Obj(vec![
-                    ("major".into(), Json::UInt(CACHE_FORMAT_MAJOR)),
-                    ("minor".into(), Json::UInt(CACHE_FORMAT_MINOR)),
-                ]),
-            ),
-            ("hits".into(), Json::UInt(self.hits)),
-            ("misses".into(), Json::UInt(self.misses)),
-            ("rejected".into(), Json::UInt(self.rejected)),
-        ])
-    }
-
-    /// Deserialize (rejects unknown major versions).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let version = v
-            .get("version")
-            .map_err(|_| jerr("cache-stats document has no version field"))?;
-        let major = version.get("major")?.as_u64()?;
-        if major != CACHE_FORMAT_MAJOR {
-            return Err(jerr(format!(
-                "unsupported cache-stats format major version {major} (this build reads \
-                 {CACHE_FORMAT_MAJOR})"
-            )));
-        }
-        Ok(CacheStats {
-            hits: v.get("hits")?.as_u64()?,
-            misses: v.get("misses")?.as_u64()?,
-            rejected: v.get("rejected")?.as_u64()?,
-        })
-    }
-
-    /// Parse a complete cache-stats document.
-    pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// The canonical pretty-printed document.
-    pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Write the canonical document to `path` atomically
-    /// (temp + fsync + rename).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        atomic_write(path, &self.render_pretty())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_round_trip_byte_identically() {
-        for stats in [
-            CacheStats::default(),
-            CacheStats {
-                hits: 13,
-                misses: 2,
-                rejected: 1,
-            },
-        ] {
-            let text = stats.render_pretty();
-            let back = CacheStats::parse(&text).unwrap();
-            assert_eq!(back, stats);
-            assert_eq!(back.render_pretty(), text);
-        }
-    }
 
     #[test]
     fn buckets_tally_and_classify() {
@@ -167,20 +79,5 @@ mod tests {
             "an empty tally proves nothing"
         );
         assert!(a.summary().contains("4 hits"));
-    }
-
-    #[test]
-    fn unknown_major_version_is_rejected() {
-        let mut json = CacheStats::default().to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Obj(vec![
-                ("major".into(), Json::UInt(CACHE_FORMAT_MAJOR + 1)),
-                ("minor".into(), Json::UInt(0)),
-            ]);
-        }
-        assert!(CacheStats::from_json(&json)
-            .unwrap_err()
-            .msg
-            .contains("major version"));
     }
 }

@@ -37,7 +37,7 @@ mod record;
 mod report;
 mod scenario;
 
-pub use cache::{CacheStats, CACHE_FORMAT_MAJOR, CACHE_FORMAT_MINOR};
+pub use cache::CacheStats;
 pub use kernel::{KernelReport, KernelSpec};
 pub use outcome::{RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{

@@ -426,7 +426,7 @@ impl Scenario {
     }
 
     /// [`Scenario::validate`], returning the resolved program of a
-    /// scheme-mode scenario so `build_scheme` resolves exactly once.
+    /// scheme-mode scenario so `build_scheme_obs` resolves exactly once.
     fn validate_resolving(&self) -> Result<Option<Program>, ScenarioError> {
         let fail = |msg: String| Err(ScenarioError(msg));
         if self.engine.batch == Some(0) {
@@ -521,21 +521,12 @@ impl Scenario {
         self.schedule.validate(self.n()).map_err(ScenarioError)
     }
 
-    /// Assemble the scheme-mode run without executing it (the layered
-    /// entry point the trial runner's recipes use), on the scenario's
-    /// [`EngineKnobs::program_engine`].
-    ///
-    /// # Panics
-    /// If the scenario is invalid or not scheme-mode.
-    pub fn build_scheme(&self) -> SchemeRun {
-        self.build_scheme_obs(None, &Obs::disabled())
-    }
-
-    /// [`Scenario::build_scheme`] with a runtime interpreter-engine
-    /// override (`None` assembles the knob as written) and a trace sink:
-    /// when tracing is enabled and the bytecode engine is selected, the
-    /// lowering pass emits one `compile`-scope event carrying its sizing
-    /// counters ([`apex_bc::CompileStats`]).
+    /// Assemble the scheme-mode run without executing it, on a runtime
+    /// interpreter-engine override (`None` assembles the scenario's
+    /// [`EngineKnobs::program_engine`]) and a trace sink: when tracing is
+    /// enabled and the bytecode engine is selected, the lowering pass
+    /// emits one `compile`-scope event carrying its sizing counters
+    /// ([`apex_bc::CompileStats`]).
     ///
     /// # Panics
     /// If the scenario is invalid or not scheme-mode.

@@ -92,16 +92,11 @@ impl Verdict {
 /// Execute a scheme-mode scenario, classifying panics: the harness's
 /// clock-stall assertion becomes [`RunAbort::ClockStall`]; any other panic
 /// (including a failed [`Scenario::validate`]) is [`RunAbort::Panic`] and
-/// must be treated as a failure by callers.
-pub fn run_scenario(scenario: &Scenario) -> Result<SchemeReport, RunAbort> {
-    run_scenario_with_engine(scenario, None)
-}
-
-/// [`run_scenario`] with a runtime interpreter-engine override (`None`
-/// runs the scenario's own knob). Reports are engine-independent, so a
-/// divergence found on one engine and replayed on the other is a bug in
-/// an interpreter, not in the finding.
-pub fn run_scenario_with_engine(
+/// must be treated as a failure by callers. `engine` overrides the
+/// interpreter (`None` runs the scenario's own knob). Reports are
+/// engine-independent, so a divergence found on one engine and replayed
+/// on the other is a bug in an interpreter, not in the finding.
+pub fn run_scenario(
     scenario: &Scenario,
     engine: Option<apex_scenario::ProgramEngine>,
 ) -> Result<SchemeReport, RunAbort> {
@@ -127,7 +122,7 @@ pub fn run_scenario_with_engine(
 
 /// [`run_scenario`] for a (triple, scheme) pair.
 pub fn run_triple(triple: &Triple, kind: SchemeKind) -> Result<SchemeReport, RunAbort> {
-    run_scenario(&triple.scenario(kind))
+    run_scenario(&triple.scenario(kind), None)
 }
 
 /// Apply the oracle's checks to a completed run.
@@ -165,20 +160,16 @@ pub fn judge(report: &SchemeReport) -> Verdict {
     }
 }
 
-/// [`run_scenario`] + [`judge`] in one call. A clock stall yields a
-/// verdict with `stalled = true` and no divergence; any other panic *is* a
-/// divergence (recorded as a work anomaly so campaigns and reproducers
-/// fail loudly on engine crashes).
-pub fn check_scenario(scenario: &Scenario) -> Verdict {
-    check_scenario_with_engine(scenario, None)
-}
-
-/// [`check_scenario`] with a runtime interpreter-engine override.
-pub fn check_scenario_with_engine(
+/// [`run_scenario`] + [`judge`] in one call, on `engine` (`None` runs
+/// the scenario's own knob). A clock stall yields a verdict with
+/// `stalled = true` and no divergence; any other panic *is* a divergence
+/// (recorded as a work anomaly so campaigns and reproducers fail loudly
+/// on engine crashes).
+pub fn check_scenario(
     scenario: &Scenario,
     engine: Option<apex_scenario::ProgramEngine>,
 ) -> Verdict {
-    match run_scenario_with_engine(scenario, engine) {
+    match run_scenario(scenario, engine) {
         Ok(report) => judge(&report),
         Err(RunAbort::ClockStall(_)) => Verdict {
             stalled: true,
@@ -193,7 +184,7 @@ pub fn check_scenario_with_engine(
 
 /// [`check_scenario`] for a (triple, scheme) pair.
 pub fn check_triple(triple: &Triple, kind: SchemeKind) -> Verdict {
-    check_scenario(&triple.scenario(kind))
+    check_scenario(&triple.scenario(kind), None)
 }
 
 #[cfg(test)]

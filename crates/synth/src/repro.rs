@@ -232,7 +232,7 @@ impl Reproducer {
         &self,
         engine: Option<apex_scenario::ProgramEngine>,
     ) -> Result<Verdict, String> {
-        let verdict = crate::oracle::check_scenario_with_engine(&self.scenario, engine);
+        let verdict = crate::oracle::check_scenario(&self.scenario, engine);
         match self.expected {
             Expectation::Clean if verdict.stalled => {
                 Err("expected clean run, but the clock stalled".to_string())

@@ -70,7 +70,7 @@ fn divergence_witnesses_are_clean_under_the_paper_scheme() {
         witnesses += 1;
         // The differential pair: the same scenario with only `mode.scheme`
         // flipped to the paper's scheme must verify clean.
-        let verdict = check_scenario(&repro.triple().scenario(SchemeKind::Nondet));
+        let verdict = check_scenario(&repro.triple().scenario(SchemeKind::Nondet), None);
         assert!(
             !verdict.stalled && !verdict.diverged(),
             "{}: paper scheme not clean on divergence witness: {verdict:?}",

@@ -8,8 +8,8 @@
 //!   byte-identical;
 //! * any number of concurrent (or crashed-and-replaced) workers drain a
 //!   queued suite to a record set and manifest **byte-identical** to a
-//!   single serial `apex suite run` — the journal and cache-stats
-//!   sidecar are per-run telemetry and excluded from the comparison;
+//!   single serial `apex suite run` — the journal and metrics sidecars
+//!   are per-run telemetry and excluded from the comparison;
 //! * every bad-lease class (torn, stale, orphaned) is detected by fsck
 //!   and *reclaimed* — deleted, never quarantined — while a live claim
 //!   in an in-flight run is left alone;
@@ -24,11 +24,11 @@ use std::sync::Arc;
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
     digest_hex, fsck, is_kill, lease_dir, lease_path, read_journal, run_suite_journaled,
-    FaultInjector, FaultPlan, FsckIssueKind, Grid, JournalOpts, LabStore, Lease, SeedRange, Suite,
-    TornWrite, TELEMETRY_FILES,
+    Divergence, FaultInjector, FaultPlan, FsckIssueKind, Grid, JournalOpts, LabStore, Lease,
+    SeedRange, Suite, TornWrite, CACHE_STATS_FILE, TELEMETRY_FILES,
 };
-use apex_obs::ObsOpts;
-use apex_scenario::{CacheStats, ProgramSource, Scenario, SourceSpec};
+use apex_obs::{Metrics, ObsOpts};
+use apex_scenario::{CacheStats, ProgramSource, RunOutcome, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
 use proptest::prelude::*;
@@ -110,6 +110,15 @@ fn reference_map(suite: &Suite, tag: &str) -> BTreeMap<String, Vec<u8>> {
     map
 }
 
+/// The `cache.*` counters of a metrics document, as a tally.
+fn cache_counters(metrics: &Metrics) -> CacheStats {
+    CacheStats {
+        hits: metrics.counter("cache.hits"),
+        misses: metrics.counter("cache.misses"),
+        rejected: metrics.counter("cache.rejected"),
+    }
+}
+
 fn worker(id: &str) -> WorkerOpts {
     WorkerOpts {
         worker: id.to_string(),
@@ -141,9 +150,14 @@ fn cached_rerun_executes_nothing_and_is_byte_identical() {
     assert_eq!(done.cache.hits as usize, done.skipped.len());
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), before);
 
-    // The sidecar is on disk and round-trips the tally.
-    let stats = store.read_cache_stats(&suite.digest()).unwrap();
-    assert_eq!(stats, done.cache);
+    // The tally lands in metrics.json as `cache.*`; the retired
+    // cache-stats.json sidecar is not written.
+    let metrics = store.read_metrics(&suite.digest()).unwrap();
+    assert_eq!(cache_counters(&metrics), done.cache);
+    assert!(!store
+        .suite_dir(&suite.digest())
+        .join(CACHE_STATS_FILE)
+        .exists());
     let _ = std::fs::remove_dir_all(store.root());
 }
 
@@ -591,7 +605,7 @@ struct RerunView {
     skipped: Vec<usize>,
     executed: Vec<usize>,
     manifest: Vec<u8>,
-    cache_stats: Option<Vec<u8>>,
+    cache_metrics: Option<CacheStats>,
     trace: Vec<u8>,
     store: BTreeMap<String, Vec<u8>>,
 }
@@ -599,8 +613,8 @@ struct RerunView {
 #[test]
 fn cached_and_resumed_reruns_agree_at_every_thread_count() {
     // The store checks run on the runner threads, but their verdicts are
-    // applied in cell order: tallies, skip lists, manifest, sidecar and
-    // trace are the same at 1, 2 and 4 threads. Each rerun starts from a
+    // applied in cell order: tallies, skip lists, manifest, metrics
+    // tally and trace are the same at 1, 2 and 4 threads. Each rerun starts from a
     // cold store with one record deleted (a miss) and one corrupted (a
     // rejection); the other cells are hits.
     let suite = committed_suite("smoke");
@@ -637,7 +651,7 @@ fn cached_and_resumed_reruns_agree_at_every_thread_count() {
                     skipped: done.skipped,
                     executed: done.executed,
                     manifest: std::fs::read(store.manifest_path(&digest)).unwrap(),
-                    cache_stats: std::fs::read(store.cache_stats_path(&digest)).ok(),
+                    cache_metrics: store.read_metrics(&digest).ok().map(|m| cache_counters(&m)),
                     // Executed cells trace their engine events from the
                     // runner threads; only the lab-scope cache verdicts
                     // are ordered across thread counts.
@@ -658,7 +672,11 @@ fn cached_and_resumed_reruns_agree_at_every_thread_count() {
         assert_eq!(first.executed, vec![2, 7], "{mode}");
         assert_eq!(first.cache.misses, 1, "{mode}");
         assert_eq!(first.cache.rejected, 1, "{mode}");
-        assert_eq!(first.cache_stats.is_some(), cached, "{mode}");
+        assert_eq!(
+            first.cache_metrics,
+            cached.then_some(first.cache),
+            "{mode}: metrics.json carries the tally"
+        );
         assert_eq!(first.trace.iter().filter(|&&b| b == b'\n').count(), 13);
         assert_eq!(first.store, reference, "{mode}: the rerun heals the store");
         for (threads, view) in &views[1..] {
@@ -773,5 +791,139 @@ fn manifest_checksums_pin_the_bytes_on_disk_after_every_run_kind() {
     );
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(farm.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+/// Plant cell 0's honest record re-rendered with `ticks + 1`: it parses,
+/// sits at its own address and is a canonical rendering, so it verifies
+/// — but it is not what the cell computes. Returns the planted bytes.
+fn plant_divergent_record(store: &LabStore, suite: &Suite) -> String {
+    let cell = &suite.expand().unwrap()[0];
+    let outcome = RunOutcome::capture(&cell.scenario);
+    let record = outcome.record().unwrap();
+    let honest = record.render_pretty();
+    let ticks = record.report.ticks();
+    let planted = honest.replacen(
+        &format!("\"ticks\": {ticks}"),
+        &format!("\"ticks\": {}", ticks + 1),
+        1,
+    );
+    assert_ne!(planted, honest);
+    let digest = suite.digest();
+    std::fs::create_dir_all(store.suite_dir(&digest)).unwrap();
+    std::fs::write(store.record_path(&digest, &cell.digest), &planted).unwrap();
+    assert!(
+        matches!(
+            store.verify_record(&digest, &cell.digest, None),
+            Ok(Some(_))
+        ),
+        "the planted record must verify"
+    );
+    planted
+}
+
+/// Exactly one divergence, naming cell 0's `ticks` path.
+fn assert_one_ticks_divergence(divergences: &[Divergence], suite: &Suite, who: &str) {
+    assert_eq!(divergences.len(), 1, "{who}: {divergences:?}");
+    let d = &divergences[0];
+    assert_eq!(d.suite, suite.digest(), "{who}");
+    assert_eq!(d.cell, suite.expand().unwrap()[0].digest, "{who}");
+    assert_eq!(d.paths.len(), 1, "{who}: {d}");
+    assert!(d.paths[0].contains("ticks"), "{who}: {d}");
+}
+
+#[test]
+fn a_verified_but_different_record_is_a_divergence_for_both_runners() {
+    // No manifest: the planted bytes verify, so both runners keep them,
+    // report the disagreement, and pin the kept bytes in the manifest.
+    let suite = farm_suite();
+    let digest = suite.digest();
+    let record0 = |store: &LabStore| {
+        std::fs::read_to_string(store.record_path(&digest, &suite.expand().unwrap()[0].digest))
+            .unwrap()
+    };
+
+    let store = temp_store("diverge-lab");
+    let planted = plant_divergent_record(&store, &suite);
+    let done = run_suite_journaled(&suite, &store, &serial()).unwrap();
+    assert_one_ticks_divergence(&done.divergences, &suite, "suite run");
+    assert_eq!(record0(&store), planted, "the stored bytes stay");
+    assert_manifest_pins_disk_bytes(&store, &digest, "suite run divergence");
+    assert!(fsck(&store, false).unwrap().clean());
+
+    let farm = temp_store("diverge-farm");
+    let queue = FarmQueue::new(temp_dir("queue-diverge"));
+    queue.submit(&suite).unwrap();
+    assert_eq!(plant_divergent_record(&farm, &suite), planted);
+    let report = run_worker(&queue, &farm, &worker("witness")).unwrap();
+    assert_one_ticks_divergence(&report.divergences, &suite, "farm worker");
+    assert_eq!(record0(&farm), planted, "the stored bytes stay");
+    assert_manifest_pins_disk_bytes(&farm, &digest, "farm divergence");
+    assert!(fsck(&farm, false).unwrap().clean());
+    assert_eq!(
+        file_map(&farm.suite_dir(&digest)),
+        file_map(&store.suite_dir(&digest))
+    );
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(farm.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn a_record_the_manifest_does_not_pin_is_rejected_and_healed_by_both_runners() {
+    // With a manifest pinning the honest bytes, the planted record fails
+    // verification: both runners overwrite it and report nothing.
+    let suite = farm_suite();
+    let digest = suite.digest();
+    let reference = reference_map(&suite, "pinned-ref");
+
+    let store = temp_store("pinned-lab");
+    run_suite_journaled(&suite, &store, &serial()).unwrap();
+    plant_divergent_record(&store, &suite);
+    let done = run_suite_journaled(&suite, &store, &serial()).unwrap();
+    assert!(done.divergences.is_empty(), "{:?}", done.divergences);
+    assert_eq!(file_map(&store.suite_dir(&digest)), reference, "healed");
+    assert!(fsck(&store, false).unwrap().clean());
+
+    // The farm visits a suite with a manifest but no journal (a finished
+    // journal would let it skip the suite outright).
+    let farm = temp_store("pinned-farm");
+    run_suite_journaled(&suite, &farm, &serial()).unwrap();
+    std::fs::remove_file(farm.journal_path(&digest)).unwrap();
+    plant_divergent_record(&farm, &suite);
+    let queue = FarmQueue::new(temp_dir("queue-pinned"));
+    queue.submit(&suite).unwrap();
+    let report = run_worker(&queue, &farm, &worker("healer")).unwrap();
+    assert!(report.divergences.is_empty(), "{}", report.summary());
+    assert_eq!(file_map(&farm.suite_dir(&digest)), reference, "healed");
+    assert!(fsck(&farm, false).unwrap().clean());
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(farm.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn an_uncontended_worker_writes_the_serial_golden_journal() {
+    // One worker, default shards, one thread: the farm runs cells through
+    // the same claimed → run → committed loop as `apex suite run`, so its
+    // journal is the pinned serial one once the `by` fields are dropped.
+    let suite = committed_suite("adversary");
+    let store = temp_store("golden-worker");
+    let queue = FarmQueue::new(temp_dir("queue-golden"));
+    queue.submit(&suite).unwrap();
+    let opts = WorkerOpts {
+        worker: "solo".into(),
+        threads: Some(1),
+        ..WorkerOpts::default()
+    };
+    let report = run_worker(&queue, &store, &opts).unwrap();
+    assert_eq!(report.finalized, vec![suite.digest()]);
+    let journal = std::fs::read_to_string(store.journal_path(&suite.digest())).unwrap();
+    let stripped: String = journal
+        .lines()
+        .map(|l| l.replace(",\"by\":\"solo\"", "") + "\n")
+        .collect();
+    assert_eq!(stripped, include_str!("golden/canonical-journal.jsonl"));
+    let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
 }

@@ -2,11 +2,12 @@
 //! write → read → byte-identical re-render, a second run produces
 //! byte-identical records with a clean drift report, and mutating or
 //! deleting a stored record is flagged as drift. A legacy
-//! `exec-stats.json` sidecar is telemetry, never a record.
+//! `exec-stats.json` or `cache-stats.json` sidecar is telemetry, never a
+//! record.
 
 use apex_lab::{
-    check_against_store, fsck, run_suite, DriftKind, LabStore, Suite, EXEC_STATS_FILE,
-    TELEMETRY_FILES,
+    check_against_store, fsck, run_suite, DriftKind, LabStore, Suite, CACHE_STATS_FILE,
+    EXEC_STATS_FILE, TELEMETRY_FILES,
 };
 use apex_scenario::ReportRecord;
 
@@ -107,11 +108,10 @@ fn drift_is_clean_until_a_record_is_mutated_or_deleted() {
 
 #[test]
 fn a_stray_exec_stats_sidecar_is_telemetry_not_a_record() {
-    // Older binaries wrote `exec-stats.json` beside the manifest, and
-    // stores may still hold one. fsck counts it as telemetry without
-    // parsing it (so even torn bytes are clean and never quarantined),
-    // and record listing skips it.
-    assert!(TELEMETRY_FILES.contains(&EXEC_STATS_FILE));
+    // Older binaries wrote `exec-stats.json` and `cache-stats.json`
+    // beside the manifest, and stores may still hold them. fsck counts
+    // each as telemetry without parsing it (so even torn bytes are clean
+    // and never quarantined), and record listing skips it.
     let suite = smoke_suite();
     let digest = suite.digest();
     let store = temp_store("stray-exec-stats");
@@ -121,15 +121,23 @@ fn a_stray_exec_stats_sidecar_is_telemetry_not_a_record() {
     let before = fsck(&store, false).unwrap();
     assert!(before.clean(), "{:?}", before.issues);
 
-    let stray = store.suite_dir(&digest).join(EXEC_STATS_FILE);
-    std::fs::write(&stray, "{\"exec\": \"ser").unwrap();
-    for repair in [false, true] {
-        let report = fsck(&store, repair).unwrap();
-        assert!(report.clean(), "repair={repair}: {:?}", report.issues);
-        assert_eq!(report.files_checked, before.files_checked + 1);
+    for name in [EXEC_STATS_FILE, CACHE_STATS_FILE] {
+        assert!(TELEMETRY_FILES.contains(&name));
+        let stray = store.suite_dir(&digest).join(name);
+        std::fs::write(&stray, "{\"exec\": \"ser").unwrap();
+        for repair in [false, true] {
+            let report = fsck(&store, repair).unwrap();
+            assert!(
+                report.clean(),
+                "{name} repair={repair}: {:?}",
+                report.issues
+            );
+            assert_eq!(report.files_checked, before.files_checked + 1, "{name}");
+        }
+        assert!(stray.exists(), "fsck --repair must leave {name} alone");
+        assert_eq!(store.record_digests(&digest).unwrap(), records);
+        std::fs::remove_file(&stray).unwrap();
     }
-    assert!(stray.exists(), "fsck --repair must leave telemetry alone");
-    assert_eq!(store.record_digests(&digest).unwrap(), records);
 
     let _ = std::fs::remove_dir_all(store.root());
 }
