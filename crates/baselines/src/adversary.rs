@@ -76,7 +76,7 @@ pub fn fig3_interleave(n: usize, cfg: &AgreementConfig, rounds: u64, seed: u64) 
 /// distance, so a copier that loaded an agreed value before sleeping fires
 /// it **after the destination variable has been legitimately rewritten** —
 /// the stale write then *masks* the newer value in one replica, which is
-/// exactly what the K-replication defends against (DESIGN.md §4.4).
+/// exactly what the K-replication defends against (README.md, "Design notes: replicated program variables").
 ///
 /// `rewrite_steps` is the distance in PRAM steps between consecutive writes
 /// to the same variable (4 for the `random_walks` workload).

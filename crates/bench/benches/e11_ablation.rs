@@ -21,14 +21,14 @@ use std::rc::Rc;
 use apex_baselines::adversary::{gun_volley, resonant_sleepy};
 use apex_baselines::linear::{omega_linear, run_linear_participant};
 use apex_bench::runner::{
-    run_agreement_trials, run_scheme_trials, run_trials, AgreementTrial, ProgramSpec, SchemeTrial,
-    SourceSpec,
+    run_agreement_trials, run_scheme_trials, AgreementTrial, ProgramSpec, SchemeTrial, SourceSpec,
 };
 use apex_bench::{banner, seeds, Experiment, Table};
 use apex_clock::PhaseClock;
 use apex_core::{
     AgreementConfig, AgreementRun, BinLayout, InstrumentOpts, RandomSource, ValueSource,
 };
+use apex_lab::pool::run_trials;
 use apex_scheme::{tasks::eval_cost, SchemeKind};
 use apex_sim::{MachineBuilder, RegionAllocator, ScheduleKind};
 
@@ -196,7 +196,7 @@ fn replica_sweep(exp: &mut Experiment) {
     }
     exp.table("replica_sweep", &t);
     println!("K = 1 leaves variables one loaded tardy write away from masking;");
-    println!("K ≥ 2 absorbs the volley (DESIGN.md §4.4 substitution, quantified).");
+    println!("K ≥ 2 absorbs the volley (README design note on replicated variables, quantified).");
 }
 
 fn fig3_stress(exp: &mut Experiment) {

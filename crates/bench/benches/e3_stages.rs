@@ -9,11 +9,12 @@
 //! analysis inside its worker thread and returns only the per-stage
 //! counts.
 
-use apex_bench::runner::{run_trials, AgreementTrial, SourceSpec};
+use apex_bench::runner::{AgreementTrial, SourceSpec};
 use apex_bench::{banner, mean, seeds, Experiment, Table};
 use apex_clock::ClockConfig;
 use apex_core::stages::analyze_stages_sized;
 use apex_core::InstrumentOpts;
+use apex_lab::pool::run_trials;
 use apex_sim::ScheduleKind;
 
 fn main() {

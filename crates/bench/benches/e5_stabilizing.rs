@@ -10,10 +10,11 @@
 //! "constant, independent of n" claim. Cycle logs are `Rc`-held, so each
 //! trial counts its structures inside its worker thread.
 
-use apex_bench::runner::{run_trials, AgreementTrial, SourceSpec};
+use apex_bench::runner::{AgreementTrial, SourceSpec};
 use apex_bench::{banner, seeds, Experiment, Table};
 use apex_core::stages::{analyze_stages, count_stabilizing_structures};
 use apex_core::InstrumentOpts;
+use apex_lab::pool::run_trials;
 use apex_sim::ScheduleKind;
 
 fn main() {

@@ -8,9 +8,10 @@
 //! much β-slack the default configuration leaves. Frontier extraction
 //! walks the `Rc`-held cycle log, so it runs inside each worker thread.
 
-use apex_bench::runner::{run_trials, AgreementTrial, SourceSpec};
+use apex_bench::runner::{AgreementTrial, SourceSpec};
 use apex_bench::{banner, mean, seeds, Experiment, Table};
 use apex_core::{CycleAction, InstrumentOpts};
+use apex_lab::pool::run_trials;
 use apex_sim::ScheduleKind;
 use std::collections::HashMap;
 

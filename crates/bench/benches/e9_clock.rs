@@ -10,9 +10,9 @@
 //! the exact op costs of both procedures. The (n, adversary) advance
 //! measurements fan out on the parallel trial runner.
 
-use apex_bench::runner::run_trials;
 use apex_bench::{banner, sweep_sizes, Experiment, Table};
 use apex_clock::{measure_advances, ClockConfig};
+use apex_lab::pool::run_trials;
 use apex_sim::ScheduleKind;
 
 fn main() {

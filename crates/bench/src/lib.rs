@@ -1,13 +1,15 @@
-//! Shared experiment plumbing: the parallel trial runner, tables, fits,
-//! scales, and machine-readable artifacts.
+//! Shared experiment plumbing: trial recipes, tables, fits, scales, and
+//! machine-readable artifacts.
 //!
-//! Every `benches/e*.rs` target regenerates one experiment from
-//! EXPERIMENTS.md, prints a markdown table, and emits JSON artifacts (see
-//! [`Experiment`]). Measurements are in model work units (deterministic),
-//! so a single run per (config, seed) is exact; seeds supply the
-//! statistical dimension. Independent trials are fanned across OS threads
-//! by [`runner`] with results in config order, so every table and JSON
-//! results artifact is byte-identical to a serial run.
+//! Every `benches/e*.rs` target regenerates one of the experiments
+//! E1–E11 (README.md, "Running the experiments"), prints a markdown
+//! table, and emits JSON artifacts (see [`Experiment`]). Measurements are
+//! in model work units (deterministic), so a single run per (config,
+//! seed) is exact; seeds supply the statistical dimension. Independent
+//! trials are fanned across OS threads by the workspace's thread pool
+//! ([`apex_lab::pool`]) with results in
+//! config order, so every table and JSON results artifact is
+//! byte-identical to a serial run.
 //!
 //! Environment knobs:
 //!
@@ -315,7 +317,7 @@ impl Experiment {
             self.total_ticks,
             tps,
             self.trials,
-            runner::default_threads(),
+            apex_lab::pool::default_threads(),
         );
         let perf_path = dir.join(format!("BENCH_{}_perf.json", self.id));
         let _ = std::fs::File::create(&perf_path).and_then(|mut f| f.write_all(perf.as_bytes()));
@@ -327,7 +329,7 @@ impl Experiment {
             self.total_ticks,
             tps / 1e6,
             self.trials,
-            runner::default_threads(),
+            apex_lab::pool::default_threads(),
         );
         if ok {
             println!(

@@ -1,16 +1,11 @@
-//! Parallel trial runner: fan independent trials across OS threads with
-//! deterministic, serial-identical results.
+//! Experiment trial recipes on the workspace's thread pool.
 //!
 //! Every experiment in this workspace is a sweep over independent
-//! `(n, seed, adversary)` trials. A trial builds its own [`apex_sim`]
-//! machine *inside* the worker thread — the machine's `Rc`-based internals
-//! never cross a thread boundary — and returns plain `Send` data. Results
-//! are collected **in config order**, so tables and JSON artifacts are
-//! byte-identical whether the sweep ran on one thread or sixteen; the
-//! determinism suite asserts this.
-//!
-//! Thread count: `APEX_RUNNER_THREADS` if set, else
-//! [`std::thread::available_parallelism`]. `APEX_RUNNER_THREADS=1` forces
+//! `(n, seed, adversary)` trials on the workspace's thread pool,
+//! [`apex_lab::pool`]: [`run_trials`] builds each trial's [`apex_sim`]
+//! machine *inside* its worker thread and returns results **in config
+//! order**, so tables and JSON artifacts are byte-identical whether the
+//! sweep ran on one thread or sixteen. `APEX_RUNNER_THREADS=1` forces
 //! the serial path (used to verify byte-identical artifacts).
 //!
 //! The trial recipes ([`AgreementTrial`], [`SchemeTrial`]) are thin
@@ -18,152 +13,14 @@
 //! `scenario()`, so any benchmark cell can be exported as a shareable
 //! JSON scenario file.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
-
 use apex_core::{AgreementConfig, AgreementRun, InstrumentOpts};
 use apex_scenario::{ProgramSource, Scenario, ScenarioReport};
 use apex_scheme::{SchemeKind, SchemeReport};
 use apex_sim::AdversarySpec;
 
+use apex_lab::pool::run_trials;
+
 pub use apex_scenario::{AgreementRunReport as AgreementTrialResult, SourceSpec};
-
-/// Worker-thread count the runner will use. `APEX_RUNNER_THREADS` is
-/// parsed once per process (the invalid-value warning prints once, not
-/// per sweep); the cached value is used from then on.
-pub fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("APEX_RUNNER_THREADS") {
-            match v.trim().parse::<usize>() {
-                Ok(t) if t > 0 => return t,
-                _ => eprintln!(
-                    "warning: ignoring invalid APEX_RUNNER_THREADS={v:?} (want a positive \
-                     integer); using all cores"
-                ),
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
-/// The one thread-count resolver every runner-facing command shares
-/// (`apex suite run --threads`, `apex farm worker --threads`): an
-/// explicit value wins (clamped to at least 1), otherwise
-/// [`default_threads`] — `APEX_RUNNER_THREADS` if set and valid, else
-/// all cores.
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    explicit.map(|t| t.max(1)).unwrap_or_else(default_threads)
-}
-
-/// Map `f` over `configs` on up to [`default_threads`] scoped OS threads,
-/// returning results in config order (exactly what a serial
-/// `configs.iter().map(f).collect()` would return).
-///
-/// `f` must be a pure function of its config (up to its own seeding): the
-/// runner guarantees ordering, and purity then guarantees serial-identical
-/// output. Machines built inside `f` stay on the worker thread.
-///
-/// # Panics
-/// If any trial panics — but only **after** every other trial has run to
-/// completion (see [`try_run_trials`]); one bad config no longer aborts
-/// the in-flight remainder of a sweep.
-pub fn run_trials<C, T, F>(configs: &[C], f: F) -> Vec<T>
-where
-    C: Sync,
-    T: Send,
-    F: Fn(&C) -> T + Sync,
-{
-    run_trials_threaded(configs, default_threads(), f)
-}
-
-/// [`run_trials`] with an explicit thread count (tests use this to compare
-/// serial and parallel runs directly).
-pub fn run_trials_threaded<C, T, F>(configs: &[C], threads: usize, f: F) -> Vec<T>
-where
-    C: Sync,
-    T: Send,
-    F: Fn(&C) -> T + Sync,
-{
-    try_run_trials_threaded(configs, threads, f)
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.unwrap_or_else(|msg| panic!("trial {i} worker panicked: {msg}")))
-        .collect()
-}
-
-/// Panic-isolating [`run_trials`]: each trial runs under
-/// [`std::panic::catch_unwind`], and a panicking trial yields
-/// `Err(panic message)` in its result slot instead of tearing down the
-/// whole `std::thread::scope` (which used to abort every in-flight trial).
-/// Campaign infrastructure builds on this to record poisoned cells and
-/// keep going.
-pub fn try_run_trials<C, T, F>(configs: &[C], f: F) -> Vec<Result<T, String>>
-where
-    C: Sync,
-    T: Send,
-    F: Fn(&C) -> T + Sync,
-{
-    try_run_trials_threaded(configs, default_threads(), f)
-}
-
-/// [`try_run_trials`] with an explicit thread count.
-pub fn try_run_trials_threaded<C, T, F>(
-    configs: &[C],
-    threads: usize,
-    f: F,
-) -> Vec<Result<T, String>>
-where
-    C: Sync,
-    T: Send,
-    F: Fn(&C) -> T + Sync,
-{
-    let run_one = |c: &C| -> Result<T, String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c))).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string())
-        })
-    };
-
-    let threads = threads.max(1).min(configs.len().max(1));
-    if threads <= 1 {
-        return configs.iter().map(run_one).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let run_one = &run_one;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                if tx.send((i, run_one(&configs[i]))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<Result<T, String>>> = (0..configs.len()).map(|_| None).collect();
-        for (i, out) in rx {
-            slots[i] = Some(out);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.unwrap_or_else(|| Err("worker died before reporting".into())))
-            .collect()
-    })
-}
 
 /// One agreement-protocol trial: run `phases` phases of an
 /// [`AgreementRun`] and return the outcomes. A thin wrapper over an
@@ -351,26 +208,9 @@ pub fn run_scheme_trials(trials: &[SchemeTrial]) -> Vec<SchemeReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_lab::pool::run_trials_threaded;
     use apex_pram::library::coin_sum;
     use apex_sim::ScheduleKind;
-
-    #[test]
-    fn results_arrive_in_config_order_regardless_of_threads() {
-        let configs: Vec<u64> = (0..64).collect();
-        // Uneven per-trial cost to force out-of-order completion.
-        let work = |&c: &u64| {
-            let mut acc = c;
-            for _ in 0..(c % 7) * 10_000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            (c, acc)
-        };
-        let serial = run_trials_threaded(&configs, 1, work);
-        let parallel = run_trials_threaded(&configs, 8, work);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 64);
-        assert!(serial.iter().enumerate().all(|(i, (c, _))| *c == i as u64));
-    }
 
     #[test]
     fn agreement_trials_parallel_equals_serial() {
@@ -413,39 +253,5 @@ mod tests {
         assert!(report.verify.ok(), "{report}");
         assert_eq!(report.program, built.program.name);
         assert_eq!(report.n, built.program.n_threads);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked")]
-    fn worker_panic_is_not_swallowed() {
-        let configs: Vec<u32> = (0..8).collect();
-        run_trials_threaded(&configs, 4, |&c| {
-            if c == 5 {
-                panic!("boom");
-            }
-            c
-        });
-    }
-
-    #[test]
-    fn one_panicking_trial_does_not_abort_the_rest() {
-        let configs: Vec<u32> = (0..16).collect();
-        for threads in [1, 4] {
-            let results = try_run_trials_threaded(&configs, threads, |&c| {
-                if c == 5 {
-                    panic!("injected fault: trial {c}");
-                }
-                c * 2
-            });
-            assert_eq!(results.len(), 16);
-            for (i, r) in results.iter().enumerate() {
-                if i == 5 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains("injected fault"), "{msg}");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i as u32 * 2);
-                }
-            }
-        }
     }
 }

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
     check_against_store, compare_stores, fsck, gc, run_suite_journaled, BenchDoc, BenchRun,
-    FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
+    DriftKind, FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
 use apex_scenario::Scenario;
@@ -427,26 +427,25 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
 
 /// `apex drift report BASE CAND` — the divergence matrix: one row per
 /// suite (one version of the experiment grid), cell-divergence counts
-/// as columns. Cells are compared byte-for-byte, records named by each
-/// store's manifest (falling back to a directory scan when a manifest
-/// is missing). Exit 0 iff every suite row is clean.
+/// as columns. A per-suite rendering of [`compare_stores`], so a cell
+/// that left no record in either store (poisoned or exhausted) is
+/// consistent, not missing. Exit 0 iff every suite row is clean.
 fn drift_report_matrix(base: &LabStore, cand: &LabStore) -> ExitCode {
-    let digests = |s: &LabStore| s.suite_digests().unwrap_or_default();
-    let mut suites = digests(base);
-    for d in digests(cand) {
-        if !suites.contains(&d) {
-            suites.push(d);
-        }
+    if !base.root().exists() && !cand.root().exists() {
+        println!("drift report: no suites in either store");
+        return ExitCode::SUCCESS;
     }
-    suites.sort();
-    // Cells a store holds for a suite, preferring the manifest's list
-    // (the run's own account of itself) over a raw directory scan.
-    let cells_of = |s: &LabStore, suite: &str| -> Vec<String> {
-        match s.read_manifest(suite) {
-            Ok(m) => m.cells.iter().map(|c| c.digest.clone()).collect(),
-            Err(_) => s.record_digests(suite).unwrap_or_default(),
+    let report = match compare_stores(base, cand) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
+    if report.suites.is_empty() {
+        println!("drift report: no suites in either store");
+        return ExitCode::SUCCESS;
+    }
     let mut table = Table::new(&[
         "suite",
         "cells",
@@ -456,51 +455,32 @@ fn drift_report_matrix(base: &LabStore, cand: &LabStore) -> ExitCode {
         "extra",
         "verdict",
     ]);
-    let mut clean = true;
-    for suite in &suites {
-        let base_cells = cells_of(base, suite);
-        let cand_cells = cells_of(cand, suite);
-        let (mut identical, mut differs, mut missing) = (0u64, 0u64, 0u64);
-        for cell in &base_cells {
-            let b = std::fs::read_to_string(base.record_path(suite, cell)).ok();
-            let c = std::fs::read_to_string(cand.record_path(suite, cell)).ok();
-            match (b, c) {
-                (Some(b), Some(c)) if b == c => identical += 1,
-                (Some(_), Some(_)) => differs += 1,
-                _ => missing += 1,
-            }
-        }
-        let extra = cand_cells
-            .iter()
-            .filter(|c| !base_cells.contains(c))
-            .count() as u64;
-        let ok = differs == 0 && missing == 0 && extra == 0;
-        clean &= ok;
+    for (suite, cells) in &report.suites {
+        let differs = report.count(suite, DriftKind::RecordDiffers);
+        let missing = report.count(suite, DriftKind::MissingRecord);
+        let extra = report.count(suite, DriftKind::ExtraRecord);
+        let drifted = differs + missing + extra;
         table.row(&[
             suite.clone(),
-            (base_cells.len() as u64 + extra).to_string(),
-            identical.to_string(),
+            cells.to_string(),
+            (cells - drifted).to_string(),
             differs.to_string(),
             missing.to_string(),
             extra.to_string(),
-            (if ok { "ok" } else { "DRIFT" }).to_string(),
+            (if drifted == 0 { "ok" } else { "DRIFT" }).to_string(),
         ]);
-    }
-    if table.is_empty() {
-        println!("drift report: no suites in either store");
-        return ExitCode::SUCCESS;
     }
     print!("{}", table.render());
     println!(
         "drift report: {} suites, {}",
-        suites.len(),
-        if clean {
+        report.suites.len(),
+        if report.clean() {
             "no divergence"
         } else {
             "DIVERGENCES"
         }
     );
-    if clean {
+    if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

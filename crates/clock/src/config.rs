@@ -14,7 +14,7 @@ use apex_sim::math::ceil_log2;
 /// duration. A wide transition band would let processors disagree about the
 /// current phase for a constant fraction of every phase, flooding the bin
 /// array with clobbers; sharpness is what keeps Lemma 1's clobber count
-/// logarithmic (see DESIGN.md §4.2).
+/// logarithmic (see README.md, "Design notes: phase clock construction").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClockConfig {
     /// Number of raw counter cells `m` (`max(n, 4)`).

@@ -14,7 +14,7 @@
 //!
 //! \[9\] gives a concrete construction; this paper uses it as a black box.
 //! We therefore build a construction satisfying the same contract
-//! (DESIGN.md §4.2): an array of `m = n` counters.
+//! (README.md, "Design notes: phase clock construction"): an array of `m = n` counters.
 //!
 //! * **Update-Clock** (5 ops): draw two random cell indices, read both,
 //!   write `min+1` to the smaller cell ("two-choice increment of the

@@ -8,7 +8,8 @@
 //! Clock updates are interleaved with the cycles — "this is achieved by
 //! interleaving clock updates with task execution" (§2.1) — at the cadence
 //! fixed by [`AgreementConfig::update_period`], which is what makes one
-//! clock level span a whole phase's worth of cycles (DESIGN.md §4.3).
+//! clock level span a whole phase's worth of cycles (README.md, "Design notes: clock
+//! cadence of the agreement driver").
 
 use std::rc::Rc;
 

@@ -108,7 +108,7 @@ impl FarmQueue {
                 .as_ref()
                 .map(|s| s.poisoned.iter().copied().collect())
                 .unwrap_or_default();
-            let threads = apex_bench::runner::resolve_threads(None);
+            let threads = apex_lab::pool::resolve_threads(None);
             let (_, _, verified) =
                 verify_cells(store, &digest, &cells, None, threads, &Obs::disabled());
             let finished = journal.as_ref().is_some_and(|s| s.finished)

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use apex_bench::runner::resolve_threads;
+use apex_lab::pool::resolve_threads;
 use apex_lab::{
     finalize_run, lease_dir, lease_path, read_journal, read_leases, tally_result_plane,
     verify_cells, Cell, CellLoop, Divergence, Journal, JournalEntry, JournalState, LabStore, Lease,
@@ -325,8 +325,8 @@ fn drain_suite_inner(
                 issued_at: journal_len,
                 ttl: opts.ttl,
             };
-            let ldir = lease_dir(store, digest);
-            std::fs::create_dir_all(&ldir).map_err(|e| format!("{}: {e}", ldir.display()))?;
+            // The write creates `leases/` itself, on every attempt: a
+            // concurrent `reclaim_all_leases` may remove it at any time.
             store
                 .write_text(&path, &lease.render_pretty())
                 .map_err(|e| format!("lease write failed: {e}"))?;

@@ -7,12 +7,25 @@
 //! bytes. When bytes differ, the parsed JSON trees are diffed to name the
 //! paths that moved (verdict, work counters, final memory, …) so a drift
 //! report reads like a regression report, not a checksum mismatch.
+//!
+//! There is one notion of "the same record" in the workspace:
+//! `compare_stored` judges a fresh record against the bytes at its
+//! address, and both the cell loop's commit rule and
+//! [`check_against_store`] call it. Every disagreement — between a
+//! re-run and the store, between two stores, or between two runs racing
+//! on one cell — is one [`Divergence`].
 
+use apex_obs::Obs;
+use apex_scenario::{ReportRecord, RunOutcome};
 use apex_sim::Json;
 
-use crate::runner::run_cells;
-use crate::store::LabStore;
-use crate::suite::Suite;
+use crate::pool::run_trials;
+use crate::runner::run_one;
+use crate::store::{LabStore, Rejection, VerifiedRecord};
+use crate::suite::{Cell, Suite};
+
+/// How many differing JSON paths one divergence names at most.
+const MAX_PATHS: usize = 8;
 
 /// What kind of divergence a cell showed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,29 +52,41 @@ impl std::fmt::Display for DriftKind {
     }
 }
 
-/// One divergent cell.
+/// One record that moved: a drift check's finding, a store comparison's,
+/// or the commit rule's when a fresh run disagrees with verified bytes
+/// already at the cell's address (the stored bytes stay ground truth).
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// The cell's scenario digest (record address).
+    /// Digest of the suite the record belongs to.
+    pub suite: String,
+    /// The cell's scenario digest (its record address); empty for a
+    /// divergence of the suite as a whole.
     pub cell: String,
     /// Position in the suite's expansion order, when the cell is named by
     /// the suite (extra records are not).
     pub index: Option<usize>,
     /// Divergence class.
     pub kind: DriftKind,
-    /// Human-readable detail (differing JSON paths, file errors).
+    /// JSON paths at which the stored and fresh records differ (empty
+    /// when the two could not both be read as records).
+    pub paths: Vec<String>,
+    /// Human-readable detail when no path applies (file errors, rejected
+    /// bytes, manifest disagreements).
     pub detail: String,
 }
 
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = if self.paths.is_empty() {
+            self.detail.clone()
+        } else {
+            self.paths.join("; ")
+        };
+        let (suite, cell, kind) = (&self.suite, &self.cell, self.kind);
         match self.index {
-            Some(i) => write!(
-                f,
-                "cell {i} ({}): {} — {}",
-                self.cell, self.kind, self.detail
-            ),
-            None => write!(f, "record {}: {} — {}", self.cell, self.kind, self.detail),
+            _ if cell.is_empty() => write!(f, "suite {suite}: {kind} — {what}"),
+            Some(i) => write!(f, "cell {i} ({cell}) of suite {suite}: {kind} — {what}"),
+            None => write!(f, "record {cell} of suite {suite}: {kind} — {what}"),
         }
     }
 }
@@ -69,11 +94,14 @@ impl std::fmt::Display for Divergence {
 /// Outcome of a drift check.
 #[derive(Clone, Debug)]
 pub struct DriftReport {
-    /// Digest of the suite that was checked.
+    /// Digest of the suite that was checked (for a store comparison, the
+    /// two store roots).
     pub suite_digest: String,
     /// Cells compared (suite cells plus extra stored records).
     pub checked: usize,
-    /// Every divergence found, in cell order.
+    /// Cells compared per suite directory, in suite order.
+    pub suites: Vec<(String, usize)>,
+    /// Every divergence found, in suite and cell order.
     pub divergences: Vec<Divergence>,
 }
 
@@ -81,6 +109,14 @@ impl DriftReport {
     /// No divergence anywhere.
     pub fn clean(&self) -> bool {
         self.divergences.is_empty()
+    }
+
+    /// Divergences of one kind under one suite.
+    pub fn count(&self, suite: &str, kind: DriftKind) -> usize {
+        self.divergences
+            .iter()
+            .filter(|d| d.suite == suite && d.kind == kind)
+            .count()
     }
 
     /// Multi-line human summary.
@@ -106,73 +142,125 @@ impl DriftReport {
     }
 }
 
+/// What a cell's address holds, judged against a fresh record.
+pub(crate) enum Stored {
+    /// Verified bytes identical to the fresh rendering.
+    Same(VerifiedRecord),
+    /// Verified bytes that differ from the fresh rendering, and the
+    /// divergence naming the JSON paths that moved.
+    Differs(VerifiedRecord, Divergence),
+    /// No file at the address.
+    Missing,
+    /// Bytes at the address that fail [`LabStore::verify_record`].
+    Rejected(Rejection),
+}
+
+/// The one store comparison: verify the bytes at `cell`'s address
+/// (against `pinned`, when given) and compare them with `fresh_text`,
+/// the canonical rendering of the freshly run `fresh`. The cell loop's
+/// commit rule and [`check_against_store`] both judge records here.
+pub(crate) fn compare_stored(
+    store: &LabStore,
+    suite_digest: &str,
+    cell: &Cell,
+    pinned: Option<&str>,
+    fresh: &ReportRecord,
+    fresh_text: &str,
+) -> Stored {
+    match store.verify_record(suite_digest, &cell.digest, pinned) {
+        Ok(None) => Stored::Missing,
+        Err(rejection) => Stored::Rejected(rejection),
+        Ok(Some(stored)) if stored.text == fresh_text => Stored::Same(stored),
+        Ok(Some(stored)) => {
+            let divergence = Divergence {
+                suite: suite_digest.to_string(),
+                cell: cell.digest.clone(),
+                index: Some(cell.index),
+                kind: DriftKind::RecordDiffers,
+                paths: json_diff(&stored.record.to_json(), &fresh.to_json(), MAX_PATHS),
+                detail: String::new(),
+            };
+            Stored::Differs(stored, divergence)
+        }
+    }
+}
+
+/// Judge one freshly run cell against the store: `None` when the stored
+/// state is what this run would leave.
+fn judge(
+    store: &LabStore,
+    suite_digest: &str,
+    cell: &Cell,
+    outcome: &RunOutcome,
+) -> Option<Divergence> {
+    let path = store.record_path(suite_digest, &cell.digest);
+    let found = |kind, detail: String| {
+        Some(Divergence {
+            suite: suite_digest.to_string(),
+            cell: cell.digest.clone(),
+            index: Some(cell.index),
+            kind,
+            paths: Vec::new(),
+            detail,
+        })
+    };
+    let Some(record) = outcome.record() else {
+        // The fresh run did not complete this cell (exhausted or
+        // poisoned). A stored record at its address then *is* drift —
+        // the stored run completed where this one cannot. No stored
+        // record is the consistent state.
+        if !path.exists() {
+            return None;
+        }
+        let detail = format!(
+            "stored record exists but the fresh run did not complete ({})",
+            outcome.summary()
+        );
+        return found(DriftKind::RecordDiffers, detail);
+    };
+    // A present-but-corrupt file is drift of the "differs" kind, and
+    // only a genuinely absent file is "missing".
+    match compare_stored(
+        store,
+        suite_digest,
+        cell,
+        None,
+        record,
+        &record.render_pretty(),
+    ) {
+        Stored::Same(_) => None,
+        Stored::Differs(_, divergence) => Some(divergence),
+        Stored::Missing => found(
+            DriftKind::MissingRecord,
+            format!("{}: no such file", path.display()),
+        ),
+        Stored::Rejected(rejection) => found(
+            DriftKind::RecordDiffers,
+            format!("stored bytes rejected: {rejection}"),
+        ),
+    }
+}
+
 /// Re-run `suite` and compare every fresh record against `store`,
-/// byte-for-byte. Also cross-checks the stored manifest and flags stored
-/// records the suite no longer names.
+/// byte-for-byte. Cells run on the workspace's thread pool through the
+/// cell loop's own `run_one`, each judged by the commit rule's store
+/// comparison on the thread that ran it. Also cross-checks the stored
+/// manifest and flags stored records the suite no longer names.
 pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftReport, String> {
     let cells = suite.expand()?;
     let suite_digest = suite.digest();
     let manifest = store.read_manifest(&suite_digest).map_err(|e| {
         format!("no stored run for suite {suite_digest} (run `apex suite run` first): {e}")
     })?;
-    let fresh = run_cells(suite, &cells);
-
-    let mut divergences = Vec::new();
-    for (cell, outcome) in cells.iter().zip(&fresh.outcomes) {
-        let path = store.record_path(&suite_digest, &cell.digest);
-        let Some(record) = outcome.record() else {
-            // The fresh run did not complete this cell (exhausted or
-            // poisoned). A stored record at its address then *is* drift
-            // — the stored run completed where this one cannot. No
-            // stored record is the consistent state.
-            if path.exists() {
-                divergences.push(Divergence {
-                    cell: cell.digest.clone(),
-                    index: Some(cell.index),
-                    kind: DriftKind::RecordDiffers,
-                    detail: format!(
-                        "stored record exists but the fresh run did not complete ({})",
-                        outcome.summary()
-                    ),
-                });
-            }
-            continue;
-        };
-        let fresh_text = record.render_pretty();
-        // Compare raw bytes, not parsed records: a present-but-corrupt
-        // file is drift of the "differs" kind, and only a genuinely
-        // absent file is "missing".
-        match std::fs::read_to_string(&path) {
-            Err(e) => divergences.push(Divergence {
-                cell: cell.digest.clone(),
-                index: Some(cell.index),
-                kind: DriftKind::MissingRecord,
-                detail: format!("{}: {e}", path.display()),
-            }),
-            Ok(stored_text) if stored_text == fresh_text => {}
-            Ok(stored_text) => {
-                let detail = match (Json::parse(&stored_text), Json::parse(&fresh_text)) {
-                    (Ok(stored), Ok(fresh)) => {
-                        let diffs = json_diff(&stored, &fresh, 4);
-                        if diffs.is_empty() {
-                            // Same tree, different bytes: whitespace or
-                            // field-order tampering.
-                            "stored bytes are not the canonical rendering".to_string()
-                        } else {
-                            diffs.join("; ")
-                        }
-                    }
-                    _ => "stored record is not parseable JSON".to_string(),
-                };
-                divergences.push(Divergence {
-                    cell: cell.digest.clone(),
-                    index: Some(cell.index),
-                    kind: DriftKind::RecordDiffers,
-                    detail,
-                });
-            }
-        }
-    }
+    let obs = Obs::disabled();
+    let (expect, found): (Vec<_>, Vec<_>) = run_trials(&cells, |cell| {
+        let outcome = run_one(cell, None, None, &obs);
+        let divergence = judge(store, &suite_digest, cell, &outcome);
+        ((cell.index, outcome.digest(), outcome.ok()), divergence)
+    })
+    .into_iter()
+    .unzip();
+    let mut divergences: Vec<Divergence> = found.into_iter().flatten().collect();
 
     // Stored records the suite no longer names.
     let named: std::collections::HashSet<&str> = cells.iter().map(|c| c.digest.as_str()).collect();
@@ -181,21 +269,17 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
         if !named.contains(stored.as_str()) {
             extra += 1;
             divergences.push(Divergence {
+                suite: suite_digest.clone(),
                 cell: stored,
                 index: None,
                 kind: DriftKind::ExtraRecord,
+                paths: Vec::new(),
                 detail: "present in the store but not in the suite expansion".to_string(),
             });
         }
     }
 
     // Manifest cross-check: same cells, same order, same verdicts.
-    let expect: Vec<(usize, String, bool)> = fresh
-        .outcomes
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (i, o.digest(), o.ok()))
-        .collect();
     let got: Vec<(usize, String, bool)> = manifest
         .cells
         .iter()
@@ -203,9 +287,11 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
         .collect();
     if expect != got {
         divergences.push(Divergence {
-            cell: suite_digest.clone(),
+            suite: suite_digest.clone(),
+            cell: String::new(),
             index: None,
             kind: DriftKind::ManifestMismatch,
+            paths: Vec::new(),
             detail: format!(
                 "manifest lists {} cells, fresh run produced {} (or order/verdicts differ)",
                 got.len(),
@@ -215,75 +301,83 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
     }
 
     divergences.sort_by_key(|d| (d.index.unwrap_or(usize::MAX), d.cell.clone()));
+    let checked = cells.len() + extra;
     Ok(DriftReport {
+        suites: vec![(suite_digest.clone(), checked)],
         suite_digest,
-        checked: cells.len() + extra,
+        checked,
         divergences,
     })
 }
 
 /// Compare two stores (e.g. runs of the same suites under two builds):
-/// for every suite directory in `baseline`, every record must exist in
-/// `candidate` with identical bytes, and vice versa.
+/// for every suite directory in either store, every record must exist in
+/// both with identical bytes. A cell that left no record in either store
+/// (poisoned or exhausted) is consistent, not missing.
 pub fn compare_stores(baseline: &LabStore, candidate: &LabStore) -> Result<DriftReport, String> {
-    let mut divergences = Vec::new();
-    let mut checked = 0;
     let base_suites = baseline.suite_digests()?;
-    for suite_digest in &base_suites {
-        let base_records = baseline.record_digests(suite_digest)?;
+    let cand_suites = candidate.suite_digests()?;
+    let mut suites: Vec<String> = base_suites.iter().chain(&cand_suites).cloned().collect();
+    suites.sort();
+    suites.dedup();
+
+    let mut divergences = Vec::new();
+    let mut per_suite = Vec::with_capacity(suites.len());
+    for suite in &suites {
+        let in_base = base_suites.contains(suite);
+        let base_records = if in_base {
+            baseline.record_digests(suite)?
+        } else {
+            Vec::new()
+        };
+        let cand_records = if cand_suites.contains(suite) {
+            candidate.record_digests(suite)?
+        } else {
+            Vec::new()
+        };
+        let found = |cell: &str, kind, paths: Vec<String>, detail: String| Divergence {
+            suite: suite.clone(),
+            cell: cell.to_string(),
+            index: None,
+            kind,
+            paths,
+            detail,
+        };
+        let mut checked = 0;
         for cell in &base_records {
             checked += 1;
-            let base_path = baseline.record_path(suite_digest, cell);
+            let base_path = baseline.record_path(suite, cell);
             let base_text = std::fs::read_to_string(&base_path)
                 .map_err(|e| format!("{}: {e}", base_path.display()))?;
-            let cand_path = candidate.record_path(suite_digest, cell);
+            let cand_path = candidate.record_path(suite, cell);
             match std::fs::read_to_string(&cand_path) {
-                Err(e) => divergences.push(Divergence {
-                    cell: cell.clone(),
-                    index: None,
-                    kind: DriftKind::MissingRecord,
-                    detail: format!("{}: {e}", cand_path.display()),
-                }),
+                Err(e) => divergences.push(found(
+                    cell,
+                    DriftKind::MissingRecord,
+                    Vec::new(),
+                    format!("{}: {e}", cand_path.display()),
+                )),
                 Ok(cand_text) if cand_text == base_text => {}
                 Ok(cand_text) => {
-                    let detail = match (Json::parse(&base_text), Json::parse(&cand_text)) {
-                        (Ok(a), Ok(b)) => json_diff(&a, &b, 4).join("; "),
-                        _ => "unparseable record".to_string(),
+                    let (paths, detail) = match (Json::parse(&base_text), Json::parse(&cand_text)) {
+                        (Ok(a), Ok(b)) => (json_diff(&a, &b, MAX_PATHS), String::new()),
+                        _ => (Vec::new(), "unparseable record".to_string()),
                     };
-                    divergences.push(Divergence {
-                        cell: cell.clone(),
-                        index: None,
-                        kind: DriftKind::RecordDiffers,
-                        detail,
-                    });
+                    divergences.push(found(cell, DriftKind::RecordDiffers, paths, detail));
                 }
             }
         }
-        // Records only the candidate has.
-        if let Ok(cand_records) = candidate.record_digests(suite_digest) {
-            for cell in cand_records {
-                if !base_records.contains(&cell) {
-                    checked += 1;
-                    divergences.push(Divergence {
-                        cell,
-                        index: None,
-                        kind: DriftKind::ExtraRecord,
-                        detail: "present in candidate store only".to_string(),
-                    });
-                }
-            }
-        }
-    }
-    for suite_digest in candidate.suite_digests()? {
-        if !base_suites.contains(&suite_digest) {
+        for cell in cand_records.iter().filter(|c| !base_records.contains(c)) {
             checked += 1;
-            divergences.push(Divergence {
-                cell: suite_digest,
-                index: None,
-                kind: DriftKind::ExtraRecord,
-                detail: "suite present in candidate store only".to_string(),
-            });
+            let detail = "present in candidate store only".to_string();
+            divergences.push(found(cell, DriftKind::ExtraRecord, Vec::new(), detail));
         }
+        if !in_base && cand_records.is_empty() {
+            checked += 1;
+            let detail = "suite present in candidate store only".to_string();
+            divergences.push(found("", DriftKind::ExtraRecord, Vec::new(), detail));
+        }
+        per_suite.push((suite.clone(), checked));
     }
     Ok(DriftReport {
         suite_digest: format!(
@@ -291,7 +385,8 @@ pub fn compare_stores(baseline: &LabStore, candidate: &LabStore) -> Result<Drift
             baseline.root().display(),
             candidate.root().display()
         ),
-        checked,
+        checked: per_suite.iter().map(|(_, n)| n).sum(),
+        suites: per_suite,
         divergences,
     })
 }

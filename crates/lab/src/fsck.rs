@@ -21,12 +21,10 @@
 
 use std::path::{Path, PathBuf};
 
-use apex_scenario::ReportRecord;
 use apex_sim::Json;
 
-use crate::digest_hex;
 use crate::journal::{read_journal, JournalEntry, JournalState, JOURNAL_FILE};
-use crate::store::{LabStore, CACHE_STATS_FILE, EXEC_STATS_FILE};
+use crate::store::{verify_bytes, LabStore, RejectKind, CACHE_STATS_FILE, EXEC_STATS_FILE};
 
 /// What is wrong with one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +68,17 @@ pub enum FsckIssueKind {
     /// `suite` field naming a different digest, or a cell range outside
     /// the suite's expansion. Reclaimed.
     LeaseOrphan,
+}
+
+impl From<RejectKind> for FsckIssueKind {
+    fn from(kind: RejectKind) -> Self {
+        match kind {
+            RejectKind::Unreadable | RejectKind::Torn => FsckIssueKind::TornOrTruncated,
+            RejectKind::DigestMismatch => FsckIssueKind::DigestMismatch,
+            RejectKind::NotCanonical => FsckIssueKind::NotCanonical,
+            RejectKind::ChecksumMismatch => FsckIssueKind::ChecksumMismatch,
+        }
+    }
 }
 
 impl std::fmt::Display for FsckIssueKind {
@@ -335,16 +344,22 @@ fn scan_suite(
         report.files_checked += 1;
         let stem = name.trim_end_matches(".json").to_string();
         let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let (kind, detail) = match check_record(&stem, &bytes, manifest.as_ref()) {
-            Ok(()) => {
+        // The record check resume, the cache and the commit rule share,
+        // pinned to the first manifest row naming this record.
+        let pinned = manifest
+            .as_ref()
+            .and_then(|m| m.cells.iter().find(|c| c.digest == stem))
+            .and_then(|c| c.checksum.as_deref());
+        let rejection = match verify_bytes(&stem, bytes, pinned) {
+            Ok(_) => {
                 present.push(stem);
                 continue;
             }
-            Err(pair) => pair,
+            Err(rejection) => rejection,
         };
         corrupt.push(stem);
         let quarantined = repair && quarantine(store, suite, &path)?;
-        issue(&name, kind, detail, quarantined);
+        issue(&name, rejection.kind.into(), rejection.detail, quarantined);
     }
 
     // Manifest rows whose completed record is gone (no file to move —
@@ -471,56 +486,6 @@ fn scan_leases(
     }
     if repair {
         crate::lease::remove_lease_dir_if_empty(store, suite);
-    }
-    Ok(())
-}
-
-/// Check one record file's full invariant stack. `Ok(())` means healthy.
-fn check_record(
-    stem: &str,
-    bytes: &[u8],
-    manifest: Option<&crate::store::Manifest>,
-) -> Result<(), (FsckIssueKind, String)> {
-    let text = std::str::from_utf8(bytes).map_err(|e| {
-        (
-            FsckIssueKind::TornOrTruncated,
-            format!("not UTF-8 at byte {}", e.valid_up_to()),
-        )
-    })?;
-    let json = Json::parse(text)
-        .map_err(|e| (FsckIssueKind::TornOrTruncated, format!("not JSON: {e}")))?;
-    let record = ReportRecord::from_json(&json).map_err(|e| {
-        let kind = if e.msg.contains("digest") {
-            FsckIssueKind::DigestMismatch
-        } else {
-            FsckIssueKind::TornOrTruncated
-        };
-        (kind, e.msg)
-    })?;
-    if record.digest() != stem {
-        return Err((
-            FsckIssueKind::DigestMismatch,
-            format!("record {} filed at address {stem}", record.digest()),
-        ));
-    }
-    if text != record.render_pretty() {
-        return Err((
-            FsckIssueKind::NotCanonical,
-            "bytes are not the canonical rendering".to_string(),
-        ));
-    }
-    if let Some(m) = manifest {
-        if let Some(cell) = m.cells.iter().find(|c| c.digest == stem) {
-            if let Some(expect) = &cell.checksum {
-                let actual = digest_hex(bytes);
-                if &actual != expect {
-                    return Err((
-                        FsckIssueKind::ChecksumMismatch,
-                        format!("file checksum {actual} != pinned {expect}"),
-                    ));
-                }
-            }
-        }
     }
     Ok(())
 }

@@ -8,16 +8,21 @@
 //!   scenarios (axes over schemes, sizes, adversaries, engine batches and
 //!   seed ranges), expanded deterministically into content-digested
 //!   [`Cell`]s;
-//! * [`run_suite`] — execute every cell on the workspace's parallel trial
-//!   runner, producing one [`ReportRecord`](apex_scenario::ReportRecord)
-//!   per cell;
+//! * [`pool`] — the workspace's one thread pool: independent trials fan
+//!   out across OS threads and come back in config order, so every sweep
+//!   is byte-identical to a serial run;
+//! * [`run_suite_journaled`] — execute every cell through the one cell
+//!   loop ([`CellLoop`]) on that pool, with a write-ahead journal,
+//!   producing one [`ReportRecord`](apex_scenario::ReportRecord) per cell;
 //! * [`LabStore`] — a filesystem-backed, content-addressed results store
 //!   (`.apex/lab/<suite-digest>/<cell-digest>.json` plus a deterministic
-//!   manifest — no timestamps, no database, diffable by hand);
+//!   manifest — no timestamps, no database, diffable by hand), whose one
+//!   record check ([`verify_bytes`]) resume, the cache, the commit rule,
+//!   drift and fsck all share;
 //! * [`check_against_store`] / [`compare_stores`] — drift detection: the
 //!   stored run is ground truth, the pipeline is deterministic end to
 //!   end, so *any* byte difference on re-execution is a real regression
-//!   (reported per cell with the JSON paths that moved).
+//!   (reported as a [`Divergence`] with the JSON paths that moved).
 //!
 //! The `apex` binary (`crates/cli`) fronts all of it:
 //! `apex suite run|expand`, `apex drift`, `apex run`, `apex synth …`.
@@ -32,12 +37,15 @@ pub mod fsck;
 pub mod gc;
 pub mod journal;
 pub mod lease;
+pub mod pool;
 pub mod runner;
 pub mod store;
 pub mod suite;
 
 pub use bench::{BenchDoc, BenchRun};
-pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
+pub use drift::{
+    check_against_store, compare_stores, json_diff, Divergence, DriftKind, DriftReport,
+};
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, WriteDirective,
     CELL_PANIC_MARKER, KILL_MARKER,
@@ -53,13 +61,13 @@ pub use lease::{
     LEASE_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, finalize_run, run_cells, run_suite, run_suite_journaled, tally_result_plane,
-    verify_cells, CellLoop, Committed, Divergence, JournalOpts, JournaledRun, OutputMismatch,
-    SuiteRun,
+    assemble_run, finalize_run, run_suite_journaled, tally_result_plane, verify_cells, CellLoop,
+    Committed, JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
-    CacheLookup, LabStore, Manifest, ManifestCell, VerifiedRecord, CACHE_STATS_FILE,
-    DEFAULT_STORE_ROOT, EXEC_STATS_FILE, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
+    verify_bytes, CacheLookup, LabStore, Manifest, ManifestCell, RejectKind, Rejection,
+    VerifiedRecord, CACHE_STATS_FILE, DEFAULT_STORE_ROOT, EXEC_STATS_FILE, MAX_WRITE_ATTEMPTS,
+    QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
     Cell, Grid, OutputExpectation, SeedRange, Suite, SUITE_FORMAT_MAJOR, SUITE_FORMAT_MINOR,
@@ -103,16 +111,26 @@ mod tests {
         LabStore::new(dir)
     }
 
+    /// Run `suite` into `store` through the one cell loop.
+    fn run_into(suite: &Suite, store: &LabStore) -> SuiteRun {
+        let opts = JournalOpts {
+            threads: Some(2),
+            ..JournalOpts::default()
+        };
+        run_suite_journaled(suite, store, &opts).unwrap().run
+    }
+
     #[test]
     fn run_store_drift_round_trip_and_mutation_detection() {
         let suite = small_suite();
         let store = temp_store("roundtrip");
+        let digest = suite.digest();
 
         // Run and store.
-        let run = run_suite(&suite).unwrap();
+        let run = run_into(&suite, &store);
         assert_eq!(run.outcomes.len(), 5);
         assert_eq!(run.records().count(), 5);
-        let manifest = store.write_run(&run).unwrap();
+        let manifest = store.read_manifest(&digest).unwrap();
         assert_eq!(manifest.cells.len(), 5);
         assert!(manifest.cells.iter().all(|c| c.status == "complete"));
         assert!(manifest.cells.iter().all(|c| c.checksum.is_some()));
@@ -121,48 +139,37 @@ mod tests {
         let report = check_against_store(&suite, &store).unwrap();
         assert!(report.clean(), "{}", report.summary());
 
-        // Re-writing the same run is byte-idempotent.
-        let digest = suite.digest();
-        let before = store
-            .read_record(&digest, &manifest.cells[0].digest)
-            .unwrap()
-            .0;
-        store.write_run(&run).unwrap();
-        let after = store
-            .read_record(&digest, &manifest.cells[0].digest)
-            .unwrap()
-            .0;
-        assert_eq!(before, after);
+        // Re-running the same suite is byte-idempotent.
+        let record0 = store.record_path(&digest, &manifest.cells[0].digest);
+        let before = std::fs::read(&record0).unwrap();
+        run_into(&suite, &store);
+        assert_eq!(before, std::fs::read(&record0).unwrap());
 
         // Mutating one record is flagged with a field-level detail.
         let victim = store.record_path(&digest, &manifest.cells[1].digest);
-        let tampered =
-            std::fs::read_to_string(&victim)
-                .unwrap()
-                .replacen("\"ticks\": ", "\"ticks\": 1", 1);
+        let original = std::fs::read_to_string(&victim).unwrap();
+        let tampered = original.replacen("\"ticks\": ", "\"ticks\": 1", 1);
         std::fs::write(&victim, tampered).unwrap();
         let report = check_against_store(&suite, &store).unwrap();
         assert_eq!(report.divergences.len(), 1);
         assert_eq!(report.divergences[0].kind, DriftKind::RecordDiffers);
         assert!(
-            report.divergences[0].detail.contains("ticks"),
+            report.divergences[0]
+                .paths
+                .iter()
+                .any(|p| p.contains("ticks")),
             "{}",
             report.summary()
         );
 
         // A present-but-unparseable record is "differs", not "missing".
-        store.write_run(&run).unwrap();
-        std::fs::write(
-            store.record_path(&digest, &manifest.cells[1].digest),
-            "not json at all",
-        )
-        .unwrap();
+        std::fs::write(&victim, "not json at all").unwrap();
         let report = check_against_store(&suite, &store).unwrap();
         assert_eq!(report.divergences.len(), 1);
         assert_eq!(report.divergences[0].kind, DriftKind::RecordDiffers);
 
         // Deleting a record is flagged as missing.
-        store.write_run(&run).unwrap();
+        std::fs::write(&victim, &original).unwrap();
         std::fs::remove_file(store.record_path(&digest, &manifest.cells[2].digest)).unwrap();
         let report = check_against_store(&suite, &store).unwrap();
         assert!(report
@@ -191,13 +198,14 @@ mod tests {
             cell: digest.clone(),
             outputs: vec![truth],
         });
-        let run = run_suite(&suite).unwrap();
+        let store = temp_store("pinned");
+        let run = run_into(&suite, &store);
         assert!(run.all_ok(), "{:?}", run.output_mismatches);
 
         // The same suite pinning the wrong value fails the run even
         // though the verifier is clean on every cell.
         suite.expect[0].outputs = vec![truth + 1];
-        let run = run_suite(&suite).unwrap();
+        let run = run_into(&suite, &store);
         assert_eq!(run.ok_count(), run.outcomes.len(), "verifier stays clean");
         assert!(!run.all_ok());
         assert_eq!(run.output_mismatches.len(), 1);
@@ -206,13 +214,15 @@ mod tests {
         assert_eq!(m.expected, vec![truth + 1]);
         assert_eq!(m.actual, Some(vec![truth]));
         assert!(m.to_string().contains("expected outputs"));
+
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn changed_scenario_shows_up_as_missing_plus_extra() {
         let mut suite = small_suite();
         let store = temp_store("changed");
-        store.write_run(&run_suite(&suite).unwrap()).unwrap();
+        run_into(&suite, &store);
 
         // Changing a cell moves its content address; checking the *edited*
         // suite against the old store is a different suite digest, so pin
@@ -246,16 +256,17 @@ mod tests {
         let suite = small_suite();
         let a = temp_store("cmp-a");
         let b = temp_store("cmp-b");
-        let run = run_suite(&suite).unwrap();
-        a.write_run(&run).unwrap();
-        b.write_run(&run).unwrap();
+        run_into(&suite, &a);
+        run_into(&suite, &b);
         let report = compare_stores(&a, &b).unwrap();
         assert!(report.clean(), "{}", report.summary());
+        assert_eq!(report.suites, vec![(suite.digest(), 5)]);
 
         let manifest = a.read_manifest(&suite.digest()).unwrap();
         std::fs::remove_file(b.record_path(&suite.digest(), &manifest.cells[0].digest)).unwrap();
         let report = compare_stores(&a, &b).unwrap();
         assert!(!report.clean());
+        assert_eq!(report.count(&suite.digest(), DriftKind::MissingRecord), 1);
 
         let _ = std::fs::remove_dir_all(a.root());
         let _ = std::fs::remove_dir_all(b.root());

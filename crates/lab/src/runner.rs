@@ -1,26 +1,27 @@
-//! Executing a suite on the workspace's parallel trial runner, with
-//! per-cell panic isolation and (optionally) write-ahead journaling.
+//! Executing a suite on the workspace's thread pool, with per-cell panic
+//! isolation and write-ahead journaling.
 //!
 //! This module is the workspace's one cell loop. `apex suite run`
 //! ([`run_suite_journaled`]) and every farm worker (`apex_farm`) run
 //! cells through the same pieces: [`verify_cells`] checks stored records
-//! on the runner threads, [`CellLoop::run`] streams pending cells
+//! on the pool's threads, [`CellLoop::run`] streams pending cells
 //! claimed → run → committed under one commit rule, [`finalize_run`]
 //! writes the manifest and the `finished` entry, and
-//! [`tally_result_plane`] counts what was executed.
+//! [`tally_result_plane`] counts what was executed. Drift
+//! ([`check_against_store`](crate::check_against_store)) re-runs cells
+//! through the same `run_one` and judges them by the same store
+//! comparison as the commit rule.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 
-use apex_bench::runner::{resolve_threads, run_trials, run_trials_threaded};
-use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
+use apex_obs::{Metrics, Obs, ObsOpts, TICKS_BOUNDS};
 use apex_scenario::{CacheStats, ProgramEngine, ReportRecord, RunOutcome};
 
 use crate::digest_hex;
-use crate::drift::json_diff;
+use crate::drift::{compare_stored, Divergence, Stored};
 use crate::fault::{FaultInjector, CELL_PANIC_MARKER};
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
+use crate::pool::{resolve_threads, run_trials_threaded, stream_trials, TrialEvent};
 use crate::store::{LabStore, Manifest};
 use crate::suite::{Cell, Suite};
 
@@ -94,26 +95,6 @@ impl SuiteRun {
     pub fn all_ok(&self) -> bool {
         self.ok_count() == self.outcomes.len() && self.output_mismatches.is_empty()
     }
-}
-
-/// Expand and execute every cell of `suite` across worker threads
-/// (`APEX_RUNNER_THREADS` controls fan-out, as everywhere else).
-///
-/// Fails up front if the suite is ill-formed. Each cell runs under
-/// `catch_unwind` ([`RunOutcome::capture_with`]): a stall-budget trip
-/// becomes a typed `exhausted` outcome, any other panic a `poisoned`
-/// one, and the remaining cells run regardless.
-pub fn run_suite(suite: &Suite) -> Result<SuiteRun, String> {
-    let cells = suite.expand()?;
-    Ok(run_cells(suite, &cells))
-}
-
-/// [`run_suite`] over an already-expanded cell list (callers that need
-/// the cells anyway, e.g. drift, avoid expanding twice).
-pub fn run_cells(suite: &Suite, cells: &[Cell]) -> SuiteRun {
-    let obs = Obs::disabled();
-    let outcomes = run_trials(cells, |cell| run_one(cell, None, None, &obs));
-    assemble_run(suite, cells, outcomes)
 }
 
 /// Check pinned outputs and assemble the [`SuiteRun`] from outcomes in
@@ -233,34 +214,8 @@ impl JournaledRun {
     }
 }
 
-/// A cell whose fresh run produced different bytes from the verified
-/// record already at its address — two runs (or two farm workers)
-/// disagree. The stored bytes stay ground truth; the disagreement is
-/// reported with JSON-path precision.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// Suite the cell belongs to.
-    pub suite: String,
-    /// The cell's scenario digest.
-    pub cell: String,
-    /// JSON paths that differ between the stored and fresh records.
-    pub paths: Vec<String>,
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "divergent results for cell {} of suite {}: {}",
-            self.cell,
-            self.suite,
-            self.paths.join("; ")
-        )
-    }
-}
-
 /// Check every cell's stored record ([`LabStore::verify_record`], pinned
-/// to the rows of `pins` when given) on `threads` runner threads. Each
+/// to the rows of `pins` when given) on `threads` pool threads. Each
 /// check keeps only the parsed record and the checksum of its bytes.
 /// Returns, in cell order, each verified cell's outcome and checksum
 /// (`None` for a miss or a rejection) and the tally of all three; every
@@ -307,8 +262,9 @@ pub fn verify_cells(
 }
 
 /// Run one suite cell under `catch_unwind`, honoring a fault plan's
-/// panic list and an interpreter-engine override.
-fn run_one(
+/// panic list and an interpreter-engine override — how the cell loop and
+/// drift execute every cell.
+pub(crate) fn run_one(
     cell: &Cell,
     faults: Option<&FaultInjector>,
     engine: Option<ProgramEngine>,
@@ -361,90 +317,32 @@ pub struct Committed {
 
 impl CellLoop<'_> {
     /// Run the `pending` cells (indices into `cells`) on up to `threads`
-    /// runner threads. Per cell: append `claimed`, run the cell under
-    /// `catch_unwind`, then commit it. Journal and store writes all
-    /// happen on the calling thread, in a strict claimed → (committed |
-    /// poisoned) order per cell; at one thread the whole journal line
-    /// sequence is deterministic (the golden-journal tests pin it).
-    /// Returns the committed cells in commit order; the first journal or
-    /// store error stops the loop.
+    /// pool threads ([`stream_trials`]). Per cell: append `claimed` when a
+    /// worker takes it, run it under `catch_unwind`, then commit it.
+    /// Journal and store writes all happen on the calling thread, in a
+    /// strict claimed → (committed | poisoned) order per cell; at one
+    /// thread the whole journal line sequence is deterministic (the
+    /// golden-journal tests pin it). Returns the committed cells in
+    /// commit order; the first journal or store error stops the loop.
     pub fn run(
         &self,
         cells: &[Cell],
         pending: &[usize],
         threads: usize,
     ) -> Result<Vec<Committed>, String> {
-        let threads = threads.min(pending.len()).max(1);
-        let execute = |i: usize| {
-            run_one(
-                &cells[i],
-                self.store.faults().map(|f| &**f),
-                self.engine,
-                self.obs,
-            )
-        };
+        let faults = self.store.faults().map(|f| &**f);
         let mut done = Vec::with_capacity(pending.len());
-        if threads == 1 {
-            for &i in pending {
-                self.claim(&cells[i])?;
-                done.push(self.commit(&cells[i], execute(i))?);
-            }
-            return Ok(done);
-        }
-
-        // One message per cell on a bounded campaign; the size skew is
-        // irrelevant next to the run each message reports on.
-        #[allow(clippy::large_enum_variant)]
-        enum Msg {
-            Claimed(usize),
-            Done(usize, RunOutcome),
-        }
-        let stop = AtomicBool::new(false);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Msg>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let (cursor, stop, execute) = (&cursor, &stop, &execute);
-                scope.spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = pending.get(k) else { break };
-                    if tx.send(Msg::Claimed(i)).is_err() {
-                        break;
-                    }
-                    if tx.send(Msg::Done(i, execute(i))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut first_err = None;
-            for msg in rx {
-                if first_err.is_some() {
-                    continue; // drain so workers exit promptly
-                }
-                let step = match msg {
-                    Msg::Claimed(i) => self.claim(&cells[i]),
-                    Msg::Done(i, outcome) => self.commit(&cells[i], outcome).map(|c| done.push(c)),
-                };
-                if let Err(e) = step {
-                    stop.store(true, Ordering::SeqCst);
-                    first_err = Some(e);
-                }
-            }
-            first_err.map_or(Ok(()), Err)
-        })?;
-        if done.len() != pending.len() {
-            return Err(format!(
-                "{} of {} cells never reached a terminal state",
-                pending.len() - done.len(),
-                pending.len()
-            ));
-        }
+        stream_trials(
+            pending,
+            threads,
+            |&i| run_one(&cells[i], faults, self.engine, self.obs),
+            |event| match event {
+                TrialEvent::Started(k) => self.claim(&cells[pending[k]]),
+                TrialEvent::Done(k, outcome) => self
+                    .commit(&cells[pending[k]], outcome)
+                    .map(|c| done.push(c)),
+            },
+        )?;
         Ok(done)
     }
 
@@ -498,24 +396,14 @@ impl CellLoop<'_> {
             .pins
             .and_then(|m| m.pinned_checksum(index, &cell.digest));
         let (outcome, checksum, divergence) =
-            match self
-                .store
-                .verify_record(self.suite_digest, &cell.digest, pinned)
-            {
-                Ok(Some(stored)) if stored.text == fresh => (outcome, stored.checksum, None),
-                Ok(Some(stored)) => {
-                    let divergence = Divergence {
-                        suite: self.suite_digest.to_string(),
-                        cell: cell.digest.clone(),
-                        paths: json_diff(&stored.record.to_json(), &record.to_json(), 8),
-                    };
-                    (
-                        RunOutcome::Complete(stored.record),
-                        stored.checksum,
-                        Some(divergence),
-                    )
-                }
-                Ok(None) | Err(_) => {
+            match compare_stored(self.store, self.suite_digest, cell, pinned, record, &fresh) {
+                Stored::Same(stored) => (outcome, stored.checksum, None),
+                Stored::Differs(stored, divergence) => (
+                    RunOutcome::Complete(stored.record),
+                    stored.checksum,
+                    Some(divergence),
+                ),
+                Stored::Missing | Stored::Rejected(_) => {
                     self.store
                         .write_text(
                             &self.store.record_path(self.suite_digest, &cell.digest),
@@ -589,9 +477,9 @@ pub fn finalize_run(
 
 /// Count executed cells into the result plane of `metrics`: the
 /// `cells.total` gauge, the `cells.*` and `ticks.executed` counters and
-/// the `cells.ticks` histogram. Every key is written even when
-/// `executed` is empty, so a farm worker that owns no cell still merges
-/// to the key set a serial run writes.
+/// the `cells.ticks` histogram (bucketed by [`TICKS_BOUNDS`]). Every key
+/// is written even when `executed` is empty, so a farm worker that owns
+/// no cell still merges to the key set a serial run writes.
 ///
 /// Namespaces are chosen so [`Metrics::result_plane`] captures exactly
 /// this partition-independent slice — a deterministic function of
@@ -624,7 +512,7 @@ pub fn tally_result_plane<'a>(
         if let Some(record) = outcome.record() {
             let ticks = record.report.ticks();
             metrics.add("ticks.executed", ticks);
-            metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
+            metrics.observe_with("cells.ticks", &TICKS_BOUNDS, ticks);
         }
     }
 }
@@ -644,7 +532,7 @@ pub fn tally_result_plane<'a>(
 /// (the determinism the whole store is built on).
 ///
 /// The resume/cache checks ([`verify_cells`]) run on the same
-/// `resolve_threads(opts.threads)` runner threads that execute cells;
+/// `resolve_threads(opts.threads)` pool threads that execute cells;
 /// their verdicts reach the tally, the trace and the skip list in cell
 /// order, so every thread count reports the same run. Every executed
 /// cell commits under the one commit rule ([`CellLoop`]): verified

@@ -93,8 +93,107 @@ pub enum CacheLookup {
     Rejected(String),
 }
 
-/// A stored record that passed every check of
-/// [`LabStore::verify_record`].
+/// Which check stored record bytes failed ([`verify_bytes`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RejectKind {
+    /// The file exists but could not be read.
+    Unreadable,
+    /// Not UTF-8, not JSON, or not a record document — a torn or
+    /// truncated write, or corruption severe enough to break the syntax.
+    Torn,
+    /// The embedded scenario does not hash to its stored digest, or the
+    /// record sits at an address that is not its own digest.
+    DigestMismatch,
+    /// The record parses and digest-verifies, but its bytes are not its
+    /// canonical rendering (whitespace or field-order tampering).
+    NotCanonical,
+    /// The bytes do not hash to the checksum a manifest row pinned.
+    ChecksumMismatch,
+}
+
+/// Why stored record bytes are not trusted: the failed check and what
+/// it saw.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rejection {
+    /// The failed check.
+    pub kind: RejectKind,
+    /// Human-readable detail.
+    pub detail: String,
+}
+
+impl Rejection {
+    fn new(kind: RejectKind, detail: impl Into<String>) -> Self {
+        Rejection {
+            kind,
+            detail: detail.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for Rejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.detail)
+    }
+}
+
+/// The one record check every reader of the store shares — resume, the
+/// cache, the commit rule, drift and fsck. `bytes` claim to be the record
+/// at address `cell_digest`: they must be UTF-8 JSON that parses as a
+/// record (which digest-verifies the embedded scenario), the record's
+/// digest must equal `cell_digest`, the bytes must be the record's
+/// canonical rendering, and their checksum must equal `pinned` when one
+/// is given.
+pub fn verify_bytes(
+    cell_digest: &str,
+    bytes: Vec<u8>,
+    pinned: Option<&str>,
+) -> Result<VerifiedRecord, Rejection> {
+    let text = String::from_utf8(bytes).map_err(|e| {
+        Rejection::new(
+            RejectKind::Torn,
+            format!("not UTF-8 at byte {}", e.utf8_error().valid_up_to()),
+        )
+    })?;
+    let json = Json::parse(&text)
+        .map_err(|e| Rejection::new(RejectKind::Torn, format!("not JSON: {e}")))?;
+    let record = ReportRecord::from_json(&json).map_err(|e| {
+        let kind = if e.msg.contains("digest") {
+            RejectKind::DigestMismatch
+        } else {
+            RejectKind::Torn
+        };
+        Rejection::new(kind, e.msg)
+    })?;
+    let digest = record.digest();
+    if digest != cell_digest {
+        return Err(Rejection::new(
+            RejectKind::DigestMismatch,
+            format!("record {digest} filed at address {cell_digest}"),
+        ));
+    }
+    if text != record.render_pretty() {
+        return Err(Rejection::new(
+            RejectKind::NotCanonical,
+            "bytes are not the canonical rendering",
+        ));
+    }
+    let checksum = digest_hex(text.as_bytes());
+    if let Some(pinned) = pinned {
+        if checksum != pinned {
+            return Err(Rejection::new(
+                RejectKind::ChecksumMismatch,
+                format!("file checksum {checksum} != pinned {pinned}"),
+            ));
+        }
+    }
+    Ok(VerifiedRecord {
+        text,
+        record: Box::new(record),
+        checksum,
+    })
+}
+
+/// A stored record that passed every check of [`verify_bytes`].
 #[derive(Debug)]
 pub struct VerifiedRecord {
     /// The exact file text.
@@ -360,7 +459,6 @@ impl LabStore {
         suite_digest: &str,
         metrics: &apex_obs::Metrics,
     ) -> std::io::Result<()> {
-        std::fs::create_dir_all(self.suite_dir(suite_digest))?;
         self.write_text(&self.metrics_path(suite_digest), &metrics.render_pretty())
     }
 
@@ -389,51 +487,26 @@ impl LabStore {
         match self.verify_record(suite_digest, cell_digest, pinned) {
             Ok(Some(v)) => CacheLookup::Hit(v.text, v.record),
             Ok(None) => CacheLookup::Miss,
-            Err(reason) => CacheLookup::Rejected(reason),
+            Err(reason) => CacheLookup::Rejected(reason.to_string()),
         }
     }
 
-    /// Verify one cell's stored record in a single pass: the file must
-    /// parse (which digest-verifies the embedded scenario), the record
-    /// digest must equal `cell_digest`, the file text must be the
-    /// record's canonical rendering, and its checksum must equal
-    /// `pinned` when one is given. `Ok(None)` is a miss (no file at the
-    /// address), `Err` a rejection with the failed check.
+    /// Verify one cell's stored record in a single pass
+    /// ([`verify_bytes`] over the file at the cell's address). `Ok(None)`
+    /// is a miss (no file at the address), `Err` a rejection naming the
+    /// failed check.
     pub fn verify_record(
         &self,
         suite_digest: &str,
         cell_digest: &str,
         pinned: Option<&str>,
-    ) -> Result<Option<VerifiedRecord>, String> {
-        let path = self.record_path(suite_digest, cell_digest);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+    ) -> Result<Option<VerifiedRecord>, Rejection> {
+        let bytes = match std::fs::read(self.record_path(suite_digest, cell_digest)) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("unreadable: {e}")),
+            Err(e) => return Err(Rejection::new(RejectKind::Unreadable, e.to_string())),
         };
-        let record = ReportRecord::parse(&text).map_err(|e| format!("unparseable: {e}"))?;
-        let digest = record.digest();
-        if digest != cell_digest {
-            return Err(format!(
-                "digest mismatch: file claims scenario {digest}, address says {cell_digest}"
-            ));
-        }
-        if text != record.render_pretty() {
-            return Err("not the canonical rendering of its contents".into());
-        }
-        let checksum = digest_hex(text.as_bytes());
-        if let Some(pinned) = pinned {
-            if checksum != pinned {
-                return Err(format!(
-                    "manifest pins checksum {pinned}, file bytes hash to {checksum}"
-                ));
-            }
-        }
-        Ok(Some(VerifiedRecord {
-            text,
-            record: Box::new(record),
-            checksum,
-        }))
+        verify_bytes(cell_digest, bytes, pinned).map(Some)
     }
 
     /// Cross-suite cache lookup: find a verified record for
@@ -459,6 +532,13 @@ impl LabStore {
     /// number, so retry behavior is deterministic). Errors carrying
     /// [`KILL_MARKER`] are fatal and never retried: a dead process
     /// cannot try again.
+    ///
+    /// Every attempt first creates `path`'s parent directory, so a
+    /// directory removed by a concurrent cleanup (a farm worker
+    /// reclaiming `leases/`) between two writes — or between two attempts
+    /// of one write — is recreated instead of failing the write. One
+    /// call is one store write for a fault plan, however many attempts
+    /// or directories it takes.
     pub fn write_text(&self, path: &Path, text: &str) -> std::io::Result<()> {
         let write_idx = self.faults.as_ref().map(|f| f.next_store_write());
         let mut last_err = None;
@@ -474,7 +554,9 @@ impl LabStore {
                 }
                 _ => WriteDirective::Proceed,
             };
+            let parent = path.parent().map_or(Ok(()), std::fs::create_dir_all);
             let result = match directive {
+                _ if parent.is_err() => parent,
                 WriteDirective::Proceed => apex_scenario::atomic_write(path, text),
                 WriteDirective::Flip { byte, mask } => {
                     // Silent corruption: the write "succeeds" with one
@@ -522,43 +604,12 @@ impl LabStore {
         Err(last_err.unwrap_or_else(|| std::io::Error::other("write failed with no error")))
     }
 
-    /// Write one cell record durably, returning the checksum of the
-    /// intended bytes (what the manifest rows pin).
-    pub fn write_record(
-        &self,
-        suite_digest: &str,
-        record: &ReportRecord,
-    ) -> std::io::Result<String> {
-        let text = record.render_pretty();
-        let checksum = digest_hex(text.as_bytes());
-        self.write_text(&self.record_path(suite_digest, &record.digest()), &text)?;
-        Ok(checksum)
-    }
-
     /// Write one suite manifest durably.
     pub fn write_manifest(&self, manifest: &Manifest) -> std::io::Result<()> {
-        std::fs::create_dir_all(self.suite_dir(&manifest.suite_digest))?;
         self.write_text(
             &self.manifest_path(&manifest.suite_digest),
             &manifest.to_json().render_pretty(),
         )
-    }
-
-    /// Write a completed run: every completed cell's record,
-    /// content-addressed, plus the manifest. Returns the manifest.
-    /// Idempotent — re-running the same suite rewrites the same files
-    /// with the same bytes.
-    pub fn write_run(&self, run: &SuiteRun) -> std::io::Result<Manifest> {
-        let dir = self.suite_dir(&run.suite_digest);
-        std::fs::create_dir_all(&dir)?;
-        for outcome in &run.outcomes {
-            if let Some(record) = outcome.record() {
-                self.write_record(&run.suite_digest, record)?;
-            }
-        }
-        let manifest = Manifest::from_run(run);
-        self.write_manifest(&manifest)?;
-        Ok(manifest)
     }
 
     /// Load one suite's manifest (verifying its self-checksum).
@@ -568,20 +619,6 @@ impl LabStore {
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         Manifest::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Load one record, returning both the raw file text (what drift
-    /// compares byte-for-byte) and the parsed record.
-    pub fn read_record(
-        &self,
-        suite_digest: &str,
-        cell_digest: &str,
-    ) -> Result<(String, ReportRecord), String> {
-        let path = self.record_path(suite_digest, cell_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let record = ReportRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok((text, record))
     }
 
     /// The suite digests present in this store (sorted, for deterministic

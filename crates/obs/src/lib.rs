@@ -32,7 +32,9 @@ pub mod sink;
 pub mod trace;
 pub mod view;
 
-pub use metrics::{Hist, Metrics, MetricsHub, METRICS_FILE, METRICS_FORMAT_MAJOR, POW2_BOUNDS};
+pub use metrics::{
+    Hist, Metrics, MetricsHub, METRICS_FILE, METRICS_FORMAT_MAJOR, POW2_BOUNDS, TICKS_BOUNDS,
+};
 pub use sink::{FileSink, MemEvents, Obs, TraceSink};
 pub use trace::{read_trace, TraceEvent, TraceLog, TRACE_FILE, TRACE_FORMAT_MAJOR};
 pub use view::{summarize, Table, TraceSummary};

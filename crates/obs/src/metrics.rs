@@ -38,11 +38,25 @@ pub const METRICS_FILE: &str = "metrics.json";
 pub const METRICS_FORMAT_MAJOR: u64 = 1;
 
 /// Default histogram bounds: powers of two from 1 to 65536 (plus the
-/// implicit overflow bucket) — wide enough for batch sizes, window
-/// lengths, and per-cell tick counts alike.
+/// implicit overflow bucket) — wide enough for batch sizes and window
+/// lengths.
 pub const POW2_BOUNDS: [u64; 17] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
 ];
+
+/// Histogram bounds for per-cell tick counts (`cells.ticks`): powers of
+/// two from 1 to 2^27 (about 1.3·10^8, plus the overflow bucket). Program
+/// cells run for millions of ticks, far past [`POW2_BOUNDS`]; the first
+/// 17 bounds are the same.
+pub const TICKS_BOUNDS: [u64; 28] = {
+    let mut bounds = [0u64; 28];
+    let mut i = 0;
+    while i < bounds.len() {
+        bounds[i] = 1 << i;
+        i += 1;
+    }
+    bounds
+};
 
 fn jerr(msg: impl Into<String>) -> JsonError {
     JsonError {

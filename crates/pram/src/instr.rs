@@ -2,7 +2,8 @@
 //!
 //! The paper's formal model fixes, for every step π and thread `i`, the
 //! locations `x_i^{(π)}, y_i^{(π)}, z_i^{(π)}` — addresses never depend on
-//! data. We keep exactly that (DESIGN.md §4.5): operands are variables or
+//! data. We keep exactly that (README.md, "Design notes:
+//! static-address EREW programs"): operands are variables or
 //! constants, destinations are variables, all resolved at program-build
 //! time. Static addressing is what makes the *last-write table* computable,
 //! which the execution scheme's stamp validation relies on.

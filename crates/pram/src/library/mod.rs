@@ -3,7 +3,8 @@
 //!
 //! Every program here is *strictly EREW* (each variable touched by at most
 //! one thread per step — validated at build time) and *static-address*
-//! (the paper's model, DESIGN.md §4.5). Data-dependent behaviour is encoded
+//! (the paper's model; README.md, "Design notes: static-address EREW
+//! programs"). Data-dependent behaviour is encoded
 //! branchlessly; nondeterminism comes only from `RandBit`/`RandBelow`
 //! instructions.
 

@@ -142,8 +142,8 @@ impl Program {
     /// `s + 1`; the initial value carries stamp 0.
     ///
     /// This is computable exactly because addressing is static — the
-    /// execution scheme's replica validation is built on it (DESIGN.md
-    /// §4.4).
+    /// execution scheme's replica validation is built on it (README.md,
+    /// "Design notes: replicated program variables").
     pub fn last_write_table(&self) -> LastWriteTable {
         let mut writes: Vec<Vec<u64>> = vec![Vec::new(); self.mem_size];
         for (step, row) in self.steps.iter().enumerate() {

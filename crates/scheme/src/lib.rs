@@ -21,7 +21,8 @@
 //!   (experiment E10).
 //!
 //! Program variables are K-replicated stamped cells with last-write-table
-//! validation (the tardy-writer defense; DESIGN.md §4.4).
+//! validation (the tardy-writer defense; README.md, "Design notes: replicated program
+//! variables").
 //!
 //! ```
 //! use apex_scheme::{SchemeKind, SchemeRun, SchemeRunConfig};

@@ -3,7 +3,8 @@
 //! One machine hosts (Fig. 1): the phase clock, the `NewVal` structure —
 //! a bin array for the nondeterministic scheme, a single-cell array for the
 //! deterministic baseline — and the program variables, each stored as `K`
-//! stamped replicas (DESIGN.md §4.4).
+//! stamped replicas (README.md, "Design notes: replicated program
+//! variables").
 //!
 //! Stamp conventions:
 //! * clock value `v` ⇒ step `π = v/2`; even `v` = Compute subphase of π,

@@ -4,7 +4,8 @@
 //! Every read of a program variable validates the replica stamp against the
 //! static last-write table; a mismatch means a tardy processor's stale
 //! write masked the value in that replica, and the reader falls through to
-//! the next replica (DESIGN.md §4.4). Total failures are counted — they are
+//! the next replica (README.md, "Design notes: replicated program
+//! variables"). Total failures are counted — they are
 //! the quantity the K-ablation (E11) studies, and the verifier treats any
 //! propagated corruption as a violation.
 

@@ -193,7 +193,7 @@ impl Ctx {
     /// model explicitly has *no* operation that both reads and writes shared
     /// memory ("no compound operation such as test∧set or compare∧swap is
     /// atomic"). Provided solely for the `ideal-cas` *cheating baseline*
-    /// (DESIGN.md §6) that lower-bounds what hardware RMW would give.
+    /// (README.md, "Design notes: comparators") that lower-bounds what hardware RMW would give.
     /// Costs one work unit. Returns the previous cell content.
     pub async fn cas(&self, addr: usize, expect: Stamped, new: Stamped) -> Stamped {
         self.tick().await;

@@ -150,7 +150,7 @@ impl SharedMemory {
 
     /// Model-violating compare-and-swap used only by the `ideal-cas`
     /// baseline (the paper's model forbids compound atomic operations; see
-    /// DESIGN.md §6). Returns the previous content; stores `new` only when
+    /// README.md, "Design notes: comparators"). Returns the previous content; stores `new` only when
     /// the previous content equals `expect`.
     ///
     /// Accounting: a CAS always inspects the cell, so it always counts one

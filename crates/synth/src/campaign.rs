@@ -5,13 +5,13 @@
 //! clean — Theorem 1), and, when the program is nondeterministic, also
 //! through [`SchemeKind::DetBaseline`] (divergences are *findings*, the
 //! E10 failure mode reproduced from synthesized scenarios). Trials fan out
-//! across cores on the [`apex_bench::runner`] parallel trial runner;
+//! across cores on the workspace's thread pool ([`apex_lab::pool`]);
 //! results are collected in config order, so a campaign's outcome is
 //! byte-identical at any thread count.
 
 use std::time::Instant;
 
-use apex_bench::runner::run_trials;
+use apex_lab::pool::run_trials;
 use apex_scheme::SchemeKind;
 
 use crate::gen::{generate_nondet_program, generate_program, GenConfig};

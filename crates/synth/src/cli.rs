@@ -299,7 +299,7 @@ fn single_run_metrics(
     let ticks = outcome.record().map(|r| r.report.ticks()).unwrap_or(0);
     m.add("ticks.executed", ticks);
     if outcome.record().is_some() {
-        m.observe("cells.ticks", ticks);
+        m.observe_with("cells.ticks", &apex_obs::TICKS_BOUNDS, ticks);
     }
     if opts.profile {
         m.add("time.elapsed_ms", stopwatch.elapsed_ms());

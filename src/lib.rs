@@ -24,9 +24,10 @@
 //! * [`baselines`] — ablations (linear search, stampless bins) and crafted
 //!   oblivious adversaries.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the paper-vs-measured results; `cargo bench`
-//! regenerates every experiment.
+//! See `README.md` for a tour, its "Crate map" for the system inventory
+//! and its "Design notes" for where the reproduction substitutes for the
+//! paper; `cargo bench` regenerates every experiment ("Running the
+//! experiments").
 
 pub use apex_baselines as baselines;
 pub use apex_clock as clock;

@@ -255,7 +255,8 @@ fn run_until_and_idle_skip_match_the_reference() {
 
 #[test]
 fn parallel_trial_runner_reproduces_serial_results_exactly() {
-    use apex_bench::runner::{run_trials_threaded, AgreementTrial, SourceSpec};
+    use apex_bench::runner::{AgreementTrial, SourceSpec};
+    use apex_lab::pool::run_trials_threaded;
 
     let mut trials = Vec::new();
     for n in [8usize, 16] {

@@ -101,7 +101,8 @@ fn stampless_bins_fail_on_reuse() {
 /// Scan-consensus (the classical-style comparator) is not only slower —
 /// without real per-value consensus rounds it also flaps on randomized
 /// programs at scale, while remaining fine on deterministic ones
-/// (documented comparator limitation; see DESIGN.md §6).
+/// (documented comparator limitation; see README.md, "Design
+/// notes: comparators").
 #[test]
 fn scan_consensus_is_sound_on_deterministic_programs() {
     let report = Scenario::scheme(

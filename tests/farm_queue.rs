@@ -278,6 +278,40 @@ fn plant_lease(store: &LabStore, suite: &str, lease: &Lease) {
 }
 
 #[test]
+fn a_lease_write_creates_the_leases_dir_a_reclaim_removed() {
+    // A worker writes its shard lease while another worker may be
+    // reclaiming the suite's `leases/` directory, so the write must
+    // create the directory itself instead of failing on its absence. The
+    // directory is made inside each write, so a fault plan still counts
+    // exactly one store write per lease.
+    let suite = farm_suite();
+    let digest = suite.digest();
+    let faults = Arc::new(FaultInjector::new(FaultPlan::default()));
+    let store = temp_store("lease-dir").with_faults(faults.clone());
+    std::fs::create_dir_all(store.suite_dir(&digest)).unwrap();
+    let lease = Lease {
+        suite: digest.clone(),
+        shard: 0,
+        start: 0,
+        count: 2,
+        worker: "racer".into(),
+        issued_at: 0,
+        ttl: 8,
+    };
+    let path = lease_path(&store, &digest, 0);
+    for round in 0..2 {
+        assert!(!lease_dir(&store, &digest).exists(), "round {round}");
+        store.write_text(&path, &lease.render_pretty()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(Lease::parse(&text).unwrap(), lease, "round {round}");
+        // A concurrent reclaim empties and removes the directory.
+        std::fs::remove_dir_all(lease_dir(&store, &digest)).unwrap();
+    }
+    assert_eq!(faults.next_store_write(), 2, "one store write per lease");
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
 fn fsck_reclaims_torn_leases_from_a_fault_plan() {
     // The first store write of a worker drain is the shard lease; tear
     // it and die. fsck must classify the debris as a torn lease and

@@ -281,3 +281,33 @@ fn telemetry_files_stay_in_sync_with_ci_excludes() {
         );
     }
 }
+
+#[test]
+fn cell_tick_histogram_buckets_program_sized_cells() {
+    // Program cells run for millions of ticks; the `cells.ticks`
+    // histogram must resolve them instead of piling them all into the
+    // overflow bucket.
+    let scenario = Scenario::scheme(
+        SchemeKind::Nondet,
+        ProgramSource::library("coin-sum", 4, vec![8]),
+        1,
+    );
+    let mut outcome = RunOutcome::capture(&scenario);
+    let RunOutcome::Complete(record) = &mut outcome else {
+        panic!("the coin-sum cell completes");
+    };
+    let apex_scenario::ScenarioReport::Scheme(report) = &mut record.report else {
+        panic!("a scheme cell carries a scheme report");
+    };
+    report.ticks = 5_000_000;
+
+    let mut metrics = Metrics::new();
+    apex_lab::tally_result_plane(&mut metrics, 1, [&outcome]);
+    let hist = metrics.hist("cells.ticks").expect("one cell tallied");
+    assert!(*hist.bounds.last().unwrap() >= 1 << 23, "{:?}", hist.bounds);
+    let bucket = hist.counts.iter().position(|&n| n == 1).unwrap();
+    assert!(bucket < hist.bounds.len(), "5e6 ticks overflowed: {hist:?}");
+    assert!(hist.bounds[bucket] >= 5_000_000);
+    assert!(bucket == 0 || hist.bounds[bucket - 1] < 5_000_000);
+    assert_eq!(hist.bounds[..17], apex_obs::POW2_BOUNDS);
+}
